@@ -1,24 +1,15 @@
-"""Benchmark-suite plumbing: dump reproduced tables at session end."""
+"""Benchmark-suite plumbing: dump reproduced tables at session end.
 
-import os
-import shutil
+Records under ``bench_results/`` are never wiped wholesale: each bench
+overwrites only its own ``BENCH_<id>.json``, and ``report.record``
+truncates an experiment's ``<id>.txt`` on its first write of the session,
+so the records of benches this session did not run survive.
+"""
 
 from repro.eval import report
 
 
 def pytest_sessionstart(session):
-    results_dir = os.path.abspath(report.RESULTS_DIR)
-    if os.path.isdir(results_dir):
-        for entry in os.listdir(results_dir):
-            if entry.endswith("_floor.json"):
-                # perf floors are committed *inputs* to the perf-smoke
-                # benchmarks, not outputs of this session
-                continue
-            path = os.path.join(results_dir, entry)
-            if os.path.isdir(path):
-                shutil.rmtree(path)
-            else:
-                os.remove(path)
     report.clear()
 
 

@@ -13,11 +13,12 @@ Three claims, one run harness (``repro.obs.smoke.obs_plane_smoke``):
   within its documented ``alpha`` relative error of the exact order
   statistic, measured against a real :class:`~repro.sim.Histogram` over
   the same deterministic long-tailed stream.
-* **determinism** — with a board killed mid-run, the sequential oracle
-  and the parallel worker pool produce byte-identical spans, per-board
-  stats snapshots (sketch summaries included), SLO verdicts + alerts,
-  and flight-recorder reports *including the kill dumps*.  This extends
-  the P2 identity contract across the entire new plane.
+* **determinism** — with a board killed mid-run, two runs on the
+  sequential windowed backend in one process produce byte-identical
+  spans, per-board stats snapshots (sketch summaries included), SLO
+  verdicts + alerts, and flight-recorder reports *including the kill
+  dumps*.  This extends the windowed rerun-identity contract across the
+  entire plane.
 
 The CI ``obs-smoke`` job runs the reduced configuration
 (``O1_REDUCED=1``) and uploads the Chrome trace and the kill dump as
@@ -86,10 +87,9 @@ def _accuracy():
 def run_all():
     wall_off, stats_off = _timed(False)
     wall_on, stats_on = _timed(True)
-    identity = {}
-    for backend in ("sequential", "parallel"):
-        identity[backend] = obs_plane_smoke(
-            backend=backend, identity=True, **_workload())
+    identity = [obs_plane_smoke(backend="sequential", identity=True,
+                                **_workload())
+                for _ in range(2)]
     return {
         "overhead": {"wall_off_s": wall_off, "wall_on_s": wall_on,
                      "ratio": wall_on / wall_off,
@@ -117,15 +117,15 @@ def test_bench_obs(benchmark):
             f"p{row['p']} off by {row['rel_error']:.4f} "
             f"(> alpha={acc['alpha']})")
 
-    # determinism: sequential == parallel byte-for-byte across the plane,
+    # determinism: two sequential runs byte-for-byte across the plane,
     # through the mid-run board kill
-    seq = results["identity"]["sequential"].pop("identity")
-    par = results["identity"]["parallel"].pop("identity")
+    seq_run, rerun = results["identity"]
+    seq = seq_run.pop("identity")
+    again = rerun.pop("identity")
     for section in ("spans", "stats", "slo", "flight"):
         assert json.dumps(seq[section], sort_keys=True, default=repr) == \
-            json.dumps(par[section], sort_keys=True, default=repr), (
-            f"sequential/parallel divergence in {section!r}")
-    seq_run = results["identity"]["sequential"]
+            json.dumps(again[section], sort_keys=True, default=repr), (
+            f"sequential rerun divergence in {section!r}")
     verdicts = {r["name"]: r["verdict"] for r in seq_run["slo"]["targets"]}
     assert verdicts  # the SLO engine judged something
     killed = seq_run["flight"]["fpga1"]
@@ -140,7 +140,8 @@ def test_bench_obs(benchmark):
          f"<= alpha={acc['alpha']}"],
         ["sketch buckets for 50k samples", str(acc["sketch_bins"]),
          "bounded"],
-        ["seq == par (spans/stats/slo/flight)", "yes", "byte-identical"],
+        ["seq == seq rerun (spans/stats/slo/flight)", "yes",
+         "byte-identical"],
         ["kill dumps on fpga1", str(killed["dumps"]), ">= 1, validated"],
     ]
     text = format_table(

@@ -1,11 +1,10 @@
-"""Cluster execution backends: shared-engine, windowed, and parallel PDES.
+"""Cluster execution backends: shared-engine and windowed PDES.
 
 ``Cluster`` historically composed every board onto one shared
-single-threaded :class:`~repro.sim.Engine`, so simulated throughput per
-wall-second *fell* as boards were added.  This module factors that
-assumption behind a :class:`ClusterBackend` and adds two windowed
-backends built on conservative-lookahead parallel discrete-event
-simulation (PDES):
+single-threaded :class:`~repro.sim.Engine`.  This module factors that
+assumption behind a :class:`ClusterBackend` and adds a windowed backend
+built on conservative-lookahead parallel discrete-event simulation
+(PDES):
 
 * :class:`SharedEngineBackend` (``backend="shared"``, the default) — one
   engine, one fabric, one span recorder.  Byte-identical to the
@@ -14,13 +13,8 @@ simulation (PDES):
   the host side (front-end + clients) is a *partition* with a private
   engine, fabric view, and span recorder.  Partitions advance in lockstep
   windows of ``fabric_latency`` cycles, executed one after another in
-  this process.  This is the determinism oracle: it performs exactly the
-  window/barrier/exchange protocol of the parallel backend (including
-  pickling every cross-partition envelope) with zero concurrency.
-* :class:`ParallelBackend` (``backend="parallel"``) — the same protocol,
-  with board windows executed by forked worker processes.  Byte-identical
-  to ``sequential`` on the same seed, by construction: both run the same
-  orchestration code, differing only in *where* a board window executes.
+  this process, and exchange cross-partition frames only at the window
+  barriers.
 
 Soundness of the window (the classic null-message-free lookahead
 argument): the Ethernet fabric is the only cross-partition channel and
@@ -28,47 +22,42 @@ delivers no earlier than ``fabric_latency`` cycles after send.  With
 window length ``w <= fabric_latency``, a frame sent at any cycle ``c``
 inside the window ``[t, t+w)`` arrives at ``c + latency >= t + w`` — at
 or after the next barrier — so no partition can receive anything from the
-current window while running it, and each window is embarrassingly
-parallel.  Envelopes collected at the barrier are merge-sorted by
+current window while running it, and the partitions' windows are
+independent.  Envelopes collected at the barrier are merge-sorted by
 ``(send_cycle, src_partition, seq)`` and injected at their exact arrival
-cycle, making the global schedule a pure function of simulated behaviour.
+cycle, making the global schedule a pure function of simulated behaviour,
+not of the order in which partitions ran.
 
-Lifecycle of the windowed backends::
+Lifecycle of the windowed backend::
 
-    cluster = Cluster(n_fpgas=4, backend="parallel")
+    cluster = Cluster(n_fpgas=4, backend="sequential")
     cluster.boot()
-    cluster.deploy_stateless(...)     # pre-seal: runs in-process, serially
+    cluster.deploy_stateless(...)     # placement is open until seal()
     cluster.run_until(started)
     cluster.start_frontend(...)
-    cluster.seal()                    # parallel: fork one worker per board
-    cluster.run(until=...)            # windows now execute in parallel
-    cluster.shutdown()                # reap workers
+    cluster.seal()                    # freeze placement
+    cluster.run(until=...)            # advance window barriers
 
-Everything before ``seal()`` executes identically (serially, in-process)
-in both windowed backends — deploys walk board management planes
-directly, which is only legal while the boards live in this process.
-After ``seal()`` boards are reachable only through the window protocol
-and explicit control messages (kill/partition/heal/collect), so dynamic
-placement (autoscaler, chain replication) stays on the shared backend.
+Dynamic placement (autoscaler, chain replication) walks board management
+planes at arbitrary simulated times, so it stays on the shared backend.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import traceback
+import itertools
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError, SimulationError, TileFault
 from repro.kernel import message as _message
 from repro.kernel.system import ApiarySystem
-from repro.net.envelope import FrameEnvelope, PartitionFabric, pickle_roundtrip
+from repro.net.envelope import FrameEnvelope, PartitionFabric
 from repro.net.frame import EthernetFabric
 from repro.obs.span import SpanRecorder
 from repro.sim import Engine, StatsRegistry
 
 __all__ = ["ClusterBackend", "SharedEngineBackend", "SequentialBackend",
-           "ParallelBackend", "BACKENDS"]
+           "BACKENDS"]
 
 #: span/trace id stride between partitions (board i allocates from
 #: (i + 1) * SPAN_ID_STRIDE); far above any realistic per-run span count
@@ -76,14 +65,14 @@ SPAN_ID_STRIDE = 1_000_000_000
 
 
 def _board_kill(system: ApiarySystem, fabric: EthernetFabric) -> None:
-    """Fail-stop one board in place (runs wherever the board lives).
+    """Fail-stop one board in place.
 
     Mirrors the original shared-engine ``kill_fpga`` body: stop the
     recovery watchdog (no board left to restart tiles on), detach the MAC
     (frames to it drop), report a fault on every live tile.  Fault hooks
-    run synchronously inside ``report`` — on windowed backends that is
+    run synchronously inside ``report`` — on the windowed backend that is
     the per-board recorder hook, whose entries the backend forwards to
-    the front-end at the barrier.
+    the front-end.
     """
     mac = system.config.net.mac_addr
     if system.recovery is not None:
@@ -102,60 +91,6 @@ def _board_kill(system: ApiarySystem, fabric: EthernetFabric) -> None:
     for tile in system.tiles:
         if not tile.failed:
             system.fault_manager.report(tile, "main", err)
-
-
-def _worker_main(conn, system: ApiarySystem, fabric: PartitionFabric,
-                 fault_log: List[Tuple[int, int, str, str]]) -> None:
-    """Board worker loop (child side of a fork; one per board).
-
-    Commands arrive strictly ordered on the pipe; the worker is a pure
-    server — it never initiates traffic — so the parent's send/recv
-    pairing fully determines execution.
-    """
-    engine = system.engine
-    while True:
-        msg = conn.recv()
-        tag = msg[0]
-        if tag == "win":
-            _end, inbound = msg[1], msg[2]
-            try:
-                for env in inbound:
-                    fabric.inject(env)
-                engine.run_window(_end)
-            except BaseException:
-                conn.send(("err", traceback.format_exc()))
-                continue
-            faults = list(fault_log)
-            del fault_log[:]
-            conn.send(("ok", fabric.drain_outbox(), faults,
-                       engine.pending_events()))
-        elif tag == "op":
-            name, args = msg[1], msg[2]
-            try:
-                if name == "kill":
-                    _board_kill(system, fabric)
-                    faults = list(fault_log)
-                    del fault_log[:]
-                    conn.send(("ok", faults))
-                elif name == "mark_detached":
-                    fabric.mark_remote_detached(args[0])
-                    conn.send(("ok", None))
-                elif name == "partition":
-                    fabric.partition(args[0])
-                    conn.send(("ok", None))
-                elif name == "heal":
-                    fabric.heal(args[0])
-                    conn.send(("ok", None))
-                elif name == "collect":
-                    conn.send(("ok", (system.spans, system.stats,
-                                      system.flight)))
-                else:
-                    conn.send(("err", f"unknown board op {name!r}"))
-            except BaseException:
-                conn.send(("err", traceback.format_exc()))
-        elif tag == "stop":
-            conn.send(("ok", None))
-            return
 
 
 class ClusterBackend:
@@ -200,17 +135,14 @@ class ClusterBackend:
         raise NotImplementedError
 
     def seal(self) -> None:
-        """Freeze placement; the parallel backend forks its workers here."""
+        """Freeze placement: later deploys raise :class:`ConfigError`."""
         self.sealed = True
-
-    def shutdown(self) -> None:
-        """Release any execution resources (idempotent)."""
 
     def check_placement_open(self, what: str) -> None:
         if self.sealed:
             raise ConfigError(
                 f"{what} after seal(): the {self.name!r} backend freezes "
-                "placement when workers take over the boards"
+                "board placement at seal()"
             )
 
     # -- fault injection ---------------------------------------------------
@@ -235,34 +167,41 @@ class ClusterBackend:
     # -- observability -----------------------------------------------------
 
     def enable_tracing(self) -> None:
-        raise NotImplementedError
+        self.cluster.spans.enable()
+        for system in self.cluster.systems:
+            system.spans.enable()
 
     def enable_flight_recorders(self, capacity: int = 256,
                                 dump_dir: Optional[str] = None) -> None:
         """Attach one always-on flight recorder per board.
 
-        On windowed backends this must happen before ``seal()`` so forked
-        workers inherit the recorders and their fault hooks.
+        On the shared backend all boards share one span recorder, so each
+        board's ring sees cluster-wide spans (events stay board-local); the
+        windowed backend gives each ring a board-local span view.
         """
-        raise NotImplementedError
+        for i, system in enumerate(self.cluster.systems):
+            system.enable_flight_recorder(board=f"fpga{i}",
+                                          capacity=capacity,
+                                          dump_dir=dump_dir)
 
     def merged_spans(self) -> SpanRecorder:
         raise NotImplementedError
 
     def merged_stats(self) -> StatsRegistry:
-        raise NotImplementedError
+        merged = StatsRegistry()
+        for system in self.cluster.systems:
+            merged.merge(system.stats)
+        return merged
 
     def stats_snapshots(self) -> Dict[str, Dict]:
-        raise NotImplementedError
+        return {f"fpga{i}": system.stats.snapshot()
+                for i, system in enumerate(self.cluster.systems)}
 
     def flight_reports(self) -> Dict[str, Optional[Dict]]:
-        """Per-board flight snapshot + retained dumps (None if disabled).
-
-        On the parallel backend this collects each board's recorder from
-        its worker, so the returned state is byte-identical to what the
-        sequential oracle accumulates in-process.
-        """
-        raise NotImplementedError
+        """Per-board flight snapshot + retained dumps (None if disabled)."""
+        return {f"fpga{i}": (system.flight.report()
+                             if system.flight is not None else None)
+                for i, system in enumerate(self.cluster.systems)}
 
 
 class SharedEngineBackend(ClusterBackend):
@@ -316,45 +255,15 @@ class SharedEngineBackend(ClusterBackend):
                                         tile.endpoint)
             system.fault_manager.on_fault.append(hook)
 
-    def enable_tracing(self):
-        self.cluster.spans.enable()
-
-    def enable_flight_recorders(self, capacity=256, dump_dir=None):
-        # all boards share one span recorder here, so each board's ring
-        # sees cluster-wide spans (events stay board-local); the windowed
-        # backends give each ring a board-local span view
-        for i, system in enumerate(self.cluster.systems):
-            system.enable_flight_recorder(board=f"fpga{i}",
-                                          capacity=capacity,
-                                          dump_dir=dump_dir)
-
     def merged_spans(self):
         return self.cluster.spans
-
-    def merged_stats(self):
-        merged = StatsRegistry()
-        for system in self.cluster.systems:
-            merged.merge(system.stats)
-        return merged
-
-    def stats_snapshots(self):
-        return {f"fpga{i}": system.stats.snapshot()
-                for i, system in enumerate(self.cluster.systems)}
-
-    def flight_reports(self):
-        return {f"fpga{i}": (system.flight.report()
-                             if system.flight is not None else None)
-                for i, system in enumerate(self.cluster.systems)}
 
 
 class SequentialBackend(ClusterBackend):
     """Windowed execution, one partition after another, in this process.
 
-    The determinism oracle for :class:`ParallelBackend`: identical
-    partitioning, identical window/barrier/exchange schedule, identical
-    envelope pickling — no concurrency.  Partition 0 is the host side
-    (front-end, clients, anything attaching an unmapped MAC); partition
-    ``i + 1`` is board ``i``.
+    Partition 0 is the host side (front-end, clients, anything attaching
+    an unmapped MAC); partition ``i + 1`` is board ``i``.
     """
 
     name = "sequential"
@@ -363,17 +272,10 @@ class SequentialBackend(ClusterBackend):
         super().__init__()
         self.window = 0
         self.partition_of: Dict[str, int] = {}
-        self.board_engines: List[Engine] = []
         self.board_fabrics: List[PartitionFabric] = []
-        self.board_spans: List[SpanRecorder] = []
         #: per-board fault entries (node, action, endpoint) captured by the
         #: recorder hook, forwarded to fault listeners at the barrier
         self.fault_logs: List[List[Tuple[int, str, str]]] = []
-        #: per-board copies of the process-global message-id allocator,
-        #: captured at seal() — the oracle's emulation of fork inheriting
-        #: the counter into each worker (see :meth:`_enter_board`)
-        self._mid_states: List[int] = []
-        self._host_mid = 0
 
     # -- construction ------------------------------------------------------
 
@@ -391,7 +293,7 @@ class SequentialBackend(ClusterBackend):
         # process-global mid stream so a run's ids depend only on its own
         # behaviour, not on whatever ran earlier in this process — the
         # identity contract compares mids across two runs
-        _message._mid_counter.next_value = 1
+        _message._mid_counter = itertools.count(1)
         configs = self._board_configs(cluster.base_config, n_fpgas)
         self.partition_of = {cfg.net.mac_addr: i + 1
                              for i, cfg in enumerate(configs)}
@@ -410,9 +312,7 @@ class SequentialBackend(ClusterBackend):
             spans = SpanRecorder(id_base=(i + 1) * SPAN_ID_STRIDE)
             system = ApiarySystem(engine=board_engine, fabric=board_fabric,
                                   config=cfg, spans=spans)
-            self.board_engines.append(board_engine)
             self.board_fabrics.append(board_fabric)
-            self.board_spans.append(spans)
             cluster.systems.append(system)
             log: List[Tuple[int, str, str]] = []
             self.fault_logs.append(log)
@@ -429,55 +329,6 @@ class SequentialBackend(ClusterBackend):
         """The barrier cycle every partition is parked on."""
         return self.cluster.engine.now
 
-    def seal(self):
-        if self.sealed:
-            return
-        super().seal()
-        # each forked worker inherits a copy of the process-global
-        # message-id allocator; the oracle captures the same copies here
-        # and swaps them in around each board's post-seal execution, so
-        # both backends allocate identical mids everywhere
-        self._mid_states = [_message._mid_counter.next_value
-                            for _ in self.cluster.systems]
-
-    def _enter_board(self, index: int) -> None:
-        """Install board ``index``'s private mid-allocator copy (sealed)."""
-        self._host_mid = _message._mid_counter.next_value
-        _message._mid_counter.next_value = self._mid_states[index]
-
-    def _exit_board(self, index: int) -> None:
-        self._mid_states[index] = _message._mid_counter.next_value
-        _message._mid_counter.next_value = self._host_mid
-
-    def _run_board_windows(self, end: int) -> Tuple[
-            List[List[FrameEnvelope]], List[List[Tuple[int, str, str]]],
-            List[int]]:
-        """Run every board's window to ``end``; return per-board
-        (outbox, fault entries, pending event count)."""
-        outboxes, faults, pending = [], [], []
-        for i, engine in enumerate(self.board_engines):
-            if self.sealed:
-                self._enter_board(i)
-            try:
-                engine.run_window(end)
-            finally:
-                if self.sealed:
-                    self._exit_board(i)
-            outboxes.append(self.board_fabrics[i].drain_outbox())
-            entries = list(self.fault_logs[i])
-            del self.fault_logs[i][:]
-            faults.append(entries)
-            pending.append(engine.pending_events())
-        return outboxes, faults, pending
-
-    def _deliver(self, env: FrameEnvelope) -> None:
-        """Route one envelope to its destination partition (in-process)."""
-        pid = self.partition_of.get(env.dst_mac, 0)
-        if pid == 0:
-            self.cluster.fabric.inject(env)
-        else:
-            self.board_fabrics[pid - 1].inject(env)
-
     def _step(self, end: int) -> int:
         """One window for every partition + the barrier exchange.
 
@@ -485,26 +336,36 @@ class SequentialBackend(ClusterBackend):
         quiescence signal for :meth:`run_until`).
         """
         host = self.cluster.engine
-        outboxes, faults, board_pending = self._run_board_windows(end)
+        envelopes: List[FrameEnvelope] = []
+        faults = []
+        pending = 0
+        for i, system in enumerate(self.cluster.systems):
+            system.engine.run_window(end)
+            envelopes.extend(self.board_fabrics[i].drain_outbox())
+            faults.append(self._take_faults(i))
+            pending += system.engine.pending_events()
         host.run_window(end)
-        envelopes = self.cluster.fabric.drain_outbox()
-        for box in outboxes:
-            envelopes.extend(box)
+        envelopes.extend(self.cluster.fabric.drain_outbox())
         envelopes.sort(key=FrameEnvelope.sort_key)
-        injected = 0
         for env in envelopes:
-            # the oracle copies payloads exactly as the worker pipe would,
-            # so sender/receiver aliasing can never diverge between modes
-            self._deliver(pickle_roundtrip(env))
-            injected += 1
-        self._apply_faults(faults)
-        return host.pending_events() + sum(board_pending) + injected
-
-    def _apply_faults(self, faults: List[List[Tuple[int, str, str]]]) -> None:
+            pid = self.partition_of.get(env.dst_mac, 0)
+            if pid == 0:
+                self.cluster.fabric.inject(env)
+            else:
+                self.board_fabrics[pid - 1].inject(env)
         for fpga, entries in enumerate(faults):
-            for node, action, endpoint in entries:
-                for listener in self._fault_listeners:
-                    listener.on_board_fault(fpga, node, action, endpoint)
+            self._notify(fpga, entries)
+        return host.pending_events() + pending + len(envelopes)
+
+    def _take_faults(self, fpga: int) -> List[Tuple[int, str, str]]:
+        entries = list(self.fault_logs[fpga])
+        del self.fault_logs[fpga][:]
+        return entries
+
+    def _notify(self, fpga: int, entries) -> None:
+        for node, action, endpoint in entries:
+            for listener in self._fault_listeners:
+                listener.on_board_fault(fpga, node, action, endpoint)
 
     # -- execution ---------------------------------------------------------
 
@@ -516,7 +377,7 @@ class SequentialBackend(ClusterBackend):
         for system in self.cluster.systems:
             system.boot(extra_cycles=extra_cycles)
         target = max([self.cluster.engine.now]
-                     + [e.now for e in self.board_engines])
+                     + [s.engine.now for s in self.cluster.systems])
         self._step(target)
 
     def run(self, until):
@@ -563,19 +424,8 @@ class SequentialBackend(ClusterBackend):
         for i, fabric in enumerate(self.board_fabrics):
             if i != index:
                 fabric.mark_remote_detached(mac)
-        if self.sealed:
-            self._enter_board(index)
-        try:
-            _board_kill(self.cluster.systems[index],
-                        self.board_fabrics[index])
-        finally:
-            if self.sealed:
-                self._exit_board(index)
-        entries = list(self.fault_logs[index])
-        del self.fault_logs[index][:]
-        for node, action, endpoint in entries:
-            for listener in self._fault_listeners:
-                listener.on_board_fault(index, node, action, endpoint)
+        _board_kill(self.cluster.systems[index], self.board_fabrics[index])
+        self._notify(index, self._take_faults(index))
 
     def partition_board(self, index):
         mac = self.cluster.systems[index].config.net.mac_addr
@@ -591,219 +441,15 @@ class SequentialBackend(ClusterBackend):
 
     # -- observability -----------------------------------------------------
 
-    def enable_tracing(self):
-        self.cluster.spans.enable()
-        for spans in self.board_spans:
-            spans.enable()
-
-    def enable_flight_recorders(self, capacity=256, dump_dir=None):
-        # must run pre-seal: the parallel backend's workers fork with the
-        # recorders (and their fault hooks) already attached, which is how
-        # worker-side rings stay byte-identical to the oracle's
-        self.check_placement_open("enable_flight_recorders()")
-        for i, system in enumerate(self.cluster.systems):
-            system.enable_flight_recorder(board=f"fpga{i}",
-                                          capacity=capacity,
-                                          dump_dir=dump_dir)
-
-    def _collect_board(self, index) -> Tuple[SpanRecorder, StatsRegistry,
-                                             Optional[Any]]:
-        system = self.cluster.systems[index]
-        return system.spans, system.stats, system.flight
-
     def merged_spans(self):
         merged = SpanRecorder(id_base=0)
         merged.absorb(self.cluster.spans)
-        for i in range(len(self.cluster.systems)):
-            merged.absorb(self._collect_board(i)[0])
+        for system in self.cluster.systems:
+            merged.absorb(system.spans)
         return merged
-
-    def merged_stats(self):
-        merged = StatsRegistry()
-        for i in range(len(self.cluster.systems)):
-            merged.merge(self._collect_board(i)[1])
-        return merged
-
-    def stats_snapshots(self):
-        return {f"fpga{i}": self._collect_board(i)[1].snapshot()
-                for i in range(len(self.cluster.systems))}
-
-    def flight_reports(self):
-        out = {}
-        for i in range(len(self.cluster.systems)):
-            flight = self._collect_board(i)[2]
-            out[f"fpga{i}"] = flight.report() if flight is not None else None
-        return out
-
-
-class ParallelBackend(SequentialBackend):
-    """Windowed execution with board windows on forked worker processes.
-
-    Until :meth:`seal` this *is* the sequential backend — construction,
-    boot, and deploys run serially in-process, so the forked children
-    inherit exactly the state the oracle would have at the same point.
-    After ``seal()`` each board lives in its worker: the parent sends
-    ``("win", end, inbound)`` to every child, runs its own host window
-    while the children run theirs, then collects outboxes and fault logs
-    and performs the same barrier exchange as the oracle.  Every value
-    crossing the pipe is pickled, which is why the oracle pickles too.
-    """
-
-    name = "parallel"
-
-    def __init__(self):
-        super().__init__()
-        self._workers: List[multiprocessing.Process] = []
-        self._pipes: List[Any] = []
-        #: envelopes routed to each board at the last barrier, shipped
-        #: with that board's next window command
-        self._inbound: List[List[FrameEnvelope]] = []
-        self._board_pending: List[int] = []
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def seal(self):
-        if self.sealed:
-            return
-        super().seal()
-        ctx = multiprocessing.get_context("fork")
-        for i, system in enumerate(self.cluster.systems):
-            parent_conn, child_conn = ctx.Pipe()
-            worker = ctx.Process(
-                target=_worker_main,
-                args=(child_conn, system, self.board_fabrics[i],
-                      self.fault_logs[i]),
-                name=f"pdes-board{i}", daemon=True)
-            worker.start()
-            child_conn.close()
-            self._workers.append(worker)
-            self._pipes.append(parent_conn)
-            self._inbound.append([])
-            self._board_pending.append(1)
-
-    def shutdown(self):
-        for conn in self._pipes:
-            try:
-                conn.send(("stop",))
-                conn.recv()
-            except (OSError, EOFError):
-                pass
-            conn.close()
-        for worker in self._workers:
-            worker.join(timeout=10)
-            if worker.is_alive():  # pragma: no cover - hung worker
-                worker.terminate()
-                worker.join(timeout=10)
-        self._workers = []
-        self._pipes = []
-
-    def _board_op(self, index: int, name: str, *args):
-        conn = self._pipes[index]
-        conn.send(("op", name, args))
-        reply = conn.recv()
-        if reply[0] != "ok":
-            raise SimulationError(
-                f"board {index} op {name!r} failed:\n{reply[1]}")
-        return reply[1]
-
-    # -- the window protocol (worker edition) ------------------------------
-
-    def _run_board_windows(self, end):
-        if not self.sealed:
-            return super()._run_board_windows(end)
-        for i, conn in enumerate(self._pipes):
-            conn.send(("win", end, self._inbound[i]))
-            self._inbound[i] = []
-        # note: the host window in _step() runs between these sends and
-        # the receives below, overlapping with every board worker
-        return None  # outboxes arrive in _finish_board_windows
-
-    def _finish_board_windows(self):
-        outboxes, faults = [], []
-        for i, conn in enumerate(self._pipes):
-            reply = conn.recv()
-            if reply[0] != "ok":
-                raise SimulationError(
-                    f"board {i} window failed:\n{reply[1]}")
-            outboxes.append(reply[1])
-            faults.append(reply[2])
-            self._board_pending[i] = reply[3]
-        return outboxes, faults, list(self._board_pending)
-
-    def _deliver(self, env):
-        if not self.sealed:
-            super()._deliver(env)
-            return
-        pid = self.partition_of.get(env.dst_mac, 0)
-        if pid == 0:
-            self.cluster.fabric.inject(env)
-        else:
-            self._inbound[pid - 1].append(env)
-
-    def _step(self, end):
-        if not self.sealed:
-            return super()._step(end)
-        host = self.cluster.engine
-        self._run_board_windows(end)
-        host.run_window(end)
-        outboxes, faults, board_pending = self._finish_board_windows()
-        envelopes = self.cluster.fabric.drain_outbox()
-        for box in outboxes:
-            envelopes.extend(box)
-        envelopes.sort(key=FrameEnvelope.sort_key)
-        injected = 0
-        for env in envelopes:
-            # envelopes to boards cross the worker pipe (pickled there);
-            # host-bound ones came through it already — no copy needed here
-            self._deliver(env)
-            injected += 1
-        self._apply_faults(faults)
-        return host.pending_events() + sum(board_pending) + injected
-
-    # -- fault injection ---------------------------------------------------
-
-    def kill_board(self, index):
-        if not self.sealed:
-            super().kill_board(index)
-            return
-        mac = self.cluster.systems[index].config.net.mac_addr
-        self.cluster.fabric.mark_remote_detached(mac)
-        for i in range(len(self.cluster.systems)):
-            if i != index:
-                self._board_op(i, "mark_detached", mac)
-        entries = self._board_op(index, "kill")
-        for node, action, endpoint in entries:
-            for listener in self._fault_listeners:
-                listener.on_board_fault(index, node, action, endpoint)
-
-    def partition_board(self, index):
-        if not self.sealed:
-            super().partition_board(index)
-            return
-        mac = self.cluster.systems[index].config.net.mac_addr
-        self.cluster.fabric.partition(mac)
-        for i in range(len(self.cluster.systems)):
-            self._board_op(i, "partition", mac)
-
-    def heal_board(self, index):
-        if not self.sealed:
-            super().heal_board(index)
-            return
-        mac = self.cluster.systems[index].config.net.mac_addr
-        self.cluster.fabric.heal(mac)
-        for i in range(len(self.cluster.systems)):
-            self._board_op(i, "heal", mac)
-
-    # -- observability -----------------------------------------------------
-
-    def _collect_board(self, index):
-        if not self.sealed:
-            return super()._collect_board(index)
-        return self._board_op(index, "collect")
 
 
 BACKENDS = {
     "shared": SharedEngineBackend,
     "sequential": SequentialBackend,
-    "parallel": ParallelBackend,
 }

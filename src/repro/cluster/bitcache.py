@@ -29,8 +29,8 @@ Determinism/PDES contract: a store's entire state lives on its board —
 its engine events, its LRU order, its counters (registered in the
 board's :class:`~repro.sim.StatsRegistry`, so they ride the existing
 deterministic cross-partition merge).  Nothing here reads another
-partition's state at simulated runtime, which is what keeps sequential
-and parallel windowed runs byte-identical through mid-run board kills.
+partition's state at simulated runtime, which is what keeps windowed
+runs byte-identical through mid-run board kills.
 """
 
 from __future__ import annotations

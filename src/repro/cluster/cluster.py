@@ -17,20 +17,19 @@ execute is a :class:`~repro.cluster.backend.ClusterBackend`:
 * ``backend="shared"`` (default) — all boards share one
   :class:`~repro.sim.Engine`, one fabric, one span recorder; a single
   causal trace spans client, front-end, and server board.
-* ``backend="sequential"`` / ``backend="parallel"`` — each board gets a
-  private engine and advances in conservative lookahead windows (see
-  ``backend.py``); ``parallel`` runs board windows on forked workers
-  after :meth:`seal`.  ``cluster.engine`` / ``cluster.fabric`` /
-  ``cluster.spans`` then name the *host* partition's objects (front-end
-  and clients attach there); per-board state is reachable through
-  :meth:`merged_spans` / :meth:`merged_stats` / :meth:`stats_snapshots`.
+* ``backend="sequential"`` — each board gets a private engine and
+  advances in conservative lookahead windows (see ``backend.py``).
+  ``cluster.engine`` / ``cluster.fabric`` / ``cluster.spans`` then name
+  the *host* partition's objects (front-end and clients attach there);
+  per-board state is reachable through :meth:`merged_spans` /
+  :meth:`merged_stats` / :meth:`stats_snapshots`.
 
 ``kill_fpga`` is the availability experiment's hammer: it detaches the
 board's MAC (frames to it drop on the floor) and reports a fault on
 every occupied tile, which reaches the front-end through the same
 ``on_fault`` hook intra-FPGA recovery uses — shards fail over to their
-surviving replicas.  On windowed backends the kill lands at the current
-window barrier, identically in sequential and parallel runs.
+surviving replicas.  On the windowed backend the kill lands at the
+current window barrier.
 """
 
 from __future__ import annotations
@@ -289,18 +288,9 @@ class Cluster:
         return started, configured
 
     def seal(self) -> None:
-        """Freeze placement and hand boards to the backend's executors.
-
-        A no-op on the shared backend; on ``parallel`` this is the fork
-        point — deploys and recovery attachment must happen before it.
-        Windowed runs work unsealed too (everything stays in-process),
-        sealing is what unlocks actual parallelism.
-        """
+        """Freeze placement: deploys and recovery or bitstream-cache
+        attachment after this raise :class:`ConfigError`."""
         self._backend.seal()
-
-    def shutdown(self) -> None:
-        """Release backend resources (parallel workers); idempotent."""
-        self._backend.shutdown()
 
     def run(self, until: Optional[int] = None) -> None:
         self._backend.run(until)
@@ -334,8 +324,7 @@ class Cluster:
 
         Each board rings its most recent spans and operational events and
         dumps a validated JSON document on fault or kill (to ``dump_dir``
-        when given).  On windowed backends call before :meth:`seal` —
-        forked workers must inherit the recorders.
+        when given).
         """
         self._backend.enable_flight_recorders(capacity=capacity,
                                               dump_dir=dump_dir)

@@ -27,7 +27,7 @@ def span_dump(spans: SpanRecorder) -> List[tuple]:
     """Flatten a recorder to comparable tuples (the identity-check shape).
 
     Detail dicts are rendered through ``repr`` of their sorted items so
-    any picklable payload compares deterministically.
+    any payload compares deterministically.
     """
     return [
         (rec.trace_id, rec.span_id, rec.parent_id, rec.name, rec.category,
@@ -115,8 +115,8 @@ def scaling_smoke(
     ``n_fpgas`` while the backends are the bottleneck — the S1 claim.
 
     ``backend`` selects the cluster execution backend; ``identity=True``
-    attaches the span/stats payload the PDES determinism checks compare
-    between the sequential oracle and the parallel worker pool.
+    attaches the span/stats payload the determinism checks compare
+    between two identically-seeded runs.
     """
     cluster = _build(n_fpgas, seed, backend=backend)
     if trace:
@@ -138,7 +138,7 @@ def scaling_smoke(
     frontend = cluster.start_frontend(max_pending=max_pending,
                                       retry=patient)
     cluster.run(until=cluster.engine.now + 5_000)
-    cluster.seal()  # parallel backend forks its board workers here
+    cluster.seal()
 
     hosts = []
     start = cluster.engine.now
@@ -179,7 +179,6 @@ def scaling_smoke(
     }
     if identity:
         stats["identity"] = _identity_payload(cluster)
-    cluster.shutdown()
     return stats
 
 
@@ -203,9 +202,9 @@ def availability_smoke(
     Phase 1 writes ``keys`` keys (replicated per shard), phase 2 reads
     them back continuously; at ``kill_after`` one board dies.  The stat
     that matters: ``post_kill_hit_rate`` — reads answered correctly from
-    surviving replicas after the kill.  On windowed backends the kill
-    lands at a window barrier, identically for ``sequential`` and
-    ``parallel`` — the chaos arm of the PDES determinism contract.
+    surviving replicas after the kill.  On the windowed backend the kill
+    lands at a window barrier — the chaos arm of the PDES determinism
+    contract.
     ``cache=True`` routes every load through the per-board bitstream
     compile-and-cache pipeline, putting its counters/state into the same
     identity payload — the cache arm of that contract.
@@ -282,5 +281,4 @@ def availability_smoke(
     }
     if identity:
         stats["identity"] = _identity_payload(cluster)
-    cluster.shutdown()
     return stats

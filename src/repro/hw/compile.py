@@ -27,8 +27,8 @@ shell-compatible modules.  This module is our equivalent:
 Everything is driven by the simulation engine and seeded state only, so
 identically-seeded runs compile identically — the per-board caches built
 on top (:mod:`repro.cluster.bitcache`) inherit that determinism, which is
-what lets the PDES backends fork a compile pipeline per partition and
-still merge byte-identical stats.
+what lets the windowed PDES backend run a compile pipeline per
+partition and still merge byte-identical stats.
 """
 
 from __future__ import annotations

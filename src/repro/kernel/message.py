@@ -11,6 +11,7 @@ capabilities before anything reaches the fabric.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -23,30 +24,9 @@ __all__ = ["MessageKind", "Message", "MemAccess", "MESSAGE_HEADER_BYTES"]
 MESSAGE_HEADER_BYTES = 32
 
 
-class _MidAllocator:
-    """``itertools.count`` with its state exposed.
-
-    The windowed cluster backends need to read and restore the allocator
-    position: a forked board worker inherits a *copy* of this process-
-    global counter, so the sequential determinism oracle swaps a private
-    copy in around each board window to allocate the exact same mids.
-    """
-
-    __slots__ = ("next_value",)
-
-    def __init__(self, start: int = 1):
-        self.next_value = start
-
-    def __next__(self) -> int:
-        value = self.next_value
-        self.next_value = value + 1
-        return value
-
-    def __iter__(self) -> "_MidAllocator":
-        return self
-
-
-_mid_counter = _MidAllocator()
+#: process-global message-id stream; the windowed cluster backend rebinds
+#: it to a fresh counter per run (see ``SequentialBackend.build``)
+_mid_counter = itertools.count(1)
 
 
 class MessageKind(enum.Enum):

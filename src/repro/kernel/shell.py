@@ -189,39 +189,6 @@ class Shell:
             self.engine.timeout(timeout).add_callback(on_timeout)
         return result
 
-    def call_with_retry(
-        self,
-        dst: str,
-        op: str,
-        payload: Any = None,
-        payload_bytes: int = 0,
-        cap: Optional[CapabilityRef] = None,
-        priority: int = 0,
-        deadline: int = 200_000,
-        attempt_timeout: int = 20_000,
-        max_attempts: Optional[int] = None,
-        backoff_base: int = 500,
-        backoff_cap: int = 16_000,
-    ):
-        """Process generator: ``call`` with deadline + exponential backoff.
-
-        .. deprecated:: use ``yield shell.call(dst, op,
-           retry=RetryPolicy(...))`` — this shim builds the equivalent
-           :class:`~repro.policy.RetryPolicy` and delegates.
-
-        Use via ``msg = yield from shell.call_with_retry(...)``; raises
-        :class:`DeadlineExceeded` once the overall ``deadline`` is spent.
-        """
-        policy = RetryPolicy(deadline=deadline,
-                             attempt_timeout=attempt_timeout,
-                             max_attempts=max_attempts,
-                             backoff_base=backoff_base,
-                             backoff_cap=backoff_cap)
-        msg = yield self.call(dst, op, payload=payload,
-                              payload_bytes=payload_bytes, cap=cap,
-                              priority=priority, retry=policy)
-        return msg
-
     def notify(self, dst: str, op: str, payload: Any = None,
                payload_bytes: int = 0, cap: Optional[CapabilityRef] = None,
                priority: int = 0) -> Event:

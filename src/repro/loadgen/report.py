@@ -6,8 +6,7 @@ dropped, which an open-loop run keeps distinct), the SLO engine's
 verdicts and burn alerts, the chaos timeline as it actually landed, and
 a single top-level ``passed``.  ``to_json()`` is byte-stable: the same
 seeded :class:`~repro.loadgen.scenario.Scenario` must produce the same
-bytes on the shared, sequential, and parallel backends, and CI pins
-exactly that.
+bytes on the shared and sequential backends, and CI pins exactly that.
 """
 
 from __future__ import annotations

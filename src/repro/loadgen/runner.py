@@ -20,7 +20,7 @@ Two properties are load-bearing:
   artifacts (bucketed SLO counts, mergeable sketches, integer counters)
   at a *computed* end cycle — so the same seeded scenario produces a
   byte-identical :class:`~repro.loadgen.report.ScenarioReport` on the
-  shared, sequential, and parallel backends, board kills included.
+  shared and sequential backends, board kills included.
 """
 
 from __future__ import annotations
@@ -200,7 +200,6 @@ class ScenarioRunner:
         drain = scn.drain_cycles()
         end = t0 + scn.duration + drain
         cluster.run(until=end)
-        cluster.shutdown()
 
         return self._report(end, drain, offered, timeline)
 

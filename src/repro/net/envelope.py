@@ -3,7 +3,7 @@
 The shared :class:`~repro.net.frame.EthernetFabric` assumes every endpoint
 hangs off one engine: ``transmit`` resolves the destination callback
 immediately and schedules delivery on the single shared clock.  The
-windowed cluster backends break that assumption — each board (and the
+windowed cluster backend breaks that assumption — each board (and the
 host side: front-end plus clients) is a *partition* with a private engine
 — so the fabric splits into per-partition views:
 
@@ -20,18 +20,11 @@ The fabric's fixed latency is what makes this sound: with window length
 ``w <= latency_cycles``, a frame sent anywhere inside a window arrives at
 or after the *next* barrier, so partitions never miss cross-traffic by
 running a window independently (the classic conservative-lookahead
-argument; see DESIGN.md, "Parallel simulation").
-
-Envelope payloads must be picklable — they cross process boundaries in
-the parallel backend, and the sequential backend round-trips them through
-``pickle`` too, so both backends hand the receiver a *copy* and any
-accidental sender/receiver aliasing diverges loudly in the oracle rather
-than silently in the worker pool.
+argument; see DESIGN.md, "Windowed simulation").
 """
 
 from __future__ import annotations
 
-import pickle
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -43,12 +36,12 @@ __all__ = ["FrameEnvelope", "PartitionFabric"]
 
 
 class FrameEnvelope:
-    """One cross-partition frame, flattened to picklable fields.
+    """One cross-partition frame, flattened to its wire fields.
 
     ``seq`` is the sender-partition-local emission index; the backend's
     merge sort key ``(send_cycle, src_partition, seq)`` makes the global
     injection order a pure function of simulated behaviour, independent
-    of which partitions ran in which order (or in which process).
+    of which partitions ran in which order.
     """
 
     __slots__ = ("seq", "src_partition", "send_cycle", "src_mac", "dst_mac",
@@ -81,11 +74,6 @@ class FrameEnvelope:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Envelope #{self.seq} p{self.src_partition} "
                 f"{self.src_mac}->{self.dst_mac} @{self.send_cycle}>")
-
-
-def pickle_roundtrip(envelope: FrameEnvelope) -> FrameEnvelope:
-    """Copy an envelope the way a pipe would (the oracle's equalizer)."""
-    return pickle.loads(pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 class PartitionFabric(EthernetFabric):

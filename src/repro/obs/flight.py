@@ -13,11 +13,7 @@ Design constraints, in order:
   so memory is O(capacity) regardless of run length;
 * **deterministic** — entries are pure functions of the simulation
   stream (span close order, fault order), so two identically-seeded runs
-  produce byte-identical rings and dumps, and the sequential ≡ parallel
-  PDES identity extends to flight state;
-* **picklable** — windowed backends ship each board's recorder over the
-  worker pipe at collection time, so the recorder holds no file handles
-  or engine references;
+  produce byte-identical rings and dumps;
 * **validated** — :func:`validate_flight_dump` structurally checks a dump
   the way ``validate_chrome_trace`` checks a trace export, so CI can
   assert an artifact is readable before uploading it.
@@ -128,9 +124,8 @@ class FlightRecorder:
         """Adopt a collected sibling's state (cluster-side aggregation).
 
         Flight rings are per-board — unlike counters they are not summed;
-        the cluster keeps one recorder per board and ``absorb`` replaces
-        local state with the collected worker copy, so the cluster-side
-        view equals the worker-side view byte for byte.
+        ``absorb`` replaces local state with the sibling's, so the two
+        recorders' reports are byte-identical afterwards.
         """
         self._ring = deque(other._ring, maxlen=self.capacity)
         self._seen = other._seen

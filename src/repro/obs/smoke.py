@@ -8,8 +8,8 @@ engine, flight recorders, profiler) or off (the overhead baseline).
 
 Everything returned derives from the simulated clock and seeded
 streams, so two calls with the same arguments produce identical dicts —
-and with ``identity=True`` the payload extends the sequential ≡ parallel
-PDES byte-identity check across merged sketches, SLO verdicts, and
+and with ``identity=True`` the payload extends the windowed-backend
+rerun byte-identity check across merged sketches, SLO verdicts, and
 flight-recorder dumps.
 
 Lives outside ``repro.obs.__init__`` on purpose: it imports the cluster
@@ -88,8 +88,8 @@ def obs_plane_smoke(
     O1 enabled-vs-disabled overhead measurement (time the calls from the
     outside; the simulated workload is identical).
 
-    ``identity=True`` attaches the payload the PDES determinism checks
-    compare between backends: spans, per-board stats snapshots (which
+    ``identity=True`` attaches the payload the determinism checks
+    compare between runs: spans, per-board stats snapshots (which
     now carry the sketch summaries), the SLO report, and per-board
     flight reports including retained dump documents.
     """
@@ -198,5 +198,4 @@ def obs_plane_smoke(
             payload["slo"] = cluster.slo.report(end)
             payload["flight"] = cluster.flight_reports()
         stats["identity"] = payload
-    cluster.shutdown()
     return stats

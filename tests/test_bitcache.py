@@ -8,7 +8,7 @@ store (hit/miss/eviction/overlay reuse/prefetch accuracy), the
 artifact-aware management-plane load path (tile reservation, artifact
 handles, legacy byte-path), cluster warm placement, the autoscaler's
 predictive prefetch hook, the board-kill-mid-synthesis chaos run, and
-the cache arm of the PDES sequential ≡ parallel identity contract.
+the cache arm of the windowed-backend identity contract.
 """
 
 import json
@@ -485,7 +485,6 @@ def _midsynth_chaos():
         "cache": cluster.bitplane.telemetry(),
         "survivor_started": [e.triggered for e in started],
     }
-    cluster.shutdown()
     return out
 
 
@@ -511,29 +510,45 @@ CACHE_CHAOS_ARGS = dict(n_fpgas=2, kill_after=80_000, post_kill=150_000,
 
 
 class TestPdesCacheIdentity:
-    """Sequential ≡ parallel, byte for byte, with every load routed
-    through the per-board compile pipeline and a mid-run board kill."""
+    """Every load routed through the per-board compile pipeline, with a
+    mid-run board kill: two sequential runs agree byte for byte, and the
+    shared and windowed backends agree on outcome and counters."""
 
     def _split(self, stats):
         identity = stats.pop("identity")
         return stats, identity
 
     def test_cache_chaos_identical_across_backends(self):
+        """Shared engine vs windowed backend.  The kill lands at a window
+        barrier on the windowed backend, so the killed board's replica
+        health and latency sketches may differ by a request; the service
+        outcome and every board's counters must not."""
+        shared_stats, shared_id = self._split(
+            availability_smoke(backend="shared", **CACHE_CHAOS_ARGS))
         seq_stats, seq_id = self._split(
             availability_smoke(backend="sequential", **CACHE_CHAOS_ARGS))
-        par_stats, par_id = self._split(
-            availability_smoke(backend="parallel", **CACHE_CHAOS_ARGS))
-        assert seq_stats == par_stats
-        assert seq_id["spans"] == par_id["spans"]
-        assert json.dumps(seq_id["stats"], sort_keys=True) == \
-            json.dumps(par_id["stats"], sort_keys=True)
-        # the kill landed and the cache really was in the path
+        shared_stats.pop("health")
+        seq_stats.pop("health")
+        assert shared_stats == seq_stats
+        for board in ("fpga0", "fpga1"):
+            assert shared_id["stats"][board]["counters"] == \
+                seq_id["stats"][board]["counters"]
         assert seq_stats["killed_fpga"] == 1
         assert seq_stats["post_kill_reads"] > 0
-        fpga0 = seq_id["stats"]["fpga0"]
-        assert fpga0["counters"].get("bitcache.misses", 0) >= 1
+        assert seq_id["stats"]["fpga1"]["counters"].get(
+            "bitcache.misses", 0) >= 1
 
     def test_cache_run_rerun_is_deterministic(self):
-        a = availability_smoke(backend="sequential", **CACHE_CHAOS_ARGS)
-        b = availability_smoke(backend="sequential", **CACHE_CHAOS_ARGS)
-        assert a == b
+        first_stats, first_id = self._split(
+            availability_smoke(backend="sequential", **CACHE_CHAOS_ARGS))
+        second_stats, second_id = self._split(
+            availability_smoke(backend="sequential", **CACHE_CHAOS_ARGS))
+        assert first_stats == second_stats
+        assert first_id["spans"] == second_id["spans"]
+        assert json.dumps(first_id["stats"], sort_keys=True) == \
+            json.dumps(second_id["stats"], sort_keys=True)
+        # the kill landed and the cache really was in the path
+        assert first_stats["killed_fpga"] == 1
+        assert first_stats["post_kill_reads"] > 0
+        fpga0 = first_id["stats"]["fpga0"]
+        assert fpga0["counters"].get("bitcache.misses", 0) >= 1

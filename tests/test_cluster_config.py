@@ -127,7 +127,6 @@ class TestClusterFromConfig:
         assert cluster.backend_name == "sequential"
         assert cluster.cluster_config is not None
         assert cluster.bitplane is None  # cache off by default
-        cluster.shutdown()
 
     def test_flat_construction_has_no_cluster_config(self):
         cluster = Cluster(n_fpgas=2)
@@ -223,7 +222,6 @@ def _mini_run(cluster):
         "spans": span_dump(cluster.merged_spans()),
         "stats": cluster.stats_snapshots(),
     }
-    cluster.shutdown()
     return payload
 
 

@@ -179,6 +179,29 @@ class TestTables:
         assert format_value(True) == "True"
 
 
+class TestReportRecords:
+    def test_session_rewrites_only_the_experiments_it_records(
+            self, tmp_path, monkeypatch):
+        from repro.eval import report
+
+        monkeypatch.setattr(report, "RESULTS_DIR", str(tmp_path))
+        monkeypatch.setattr(report, "_reports", [])
+        monkeypatch.setattr(report, "_written", set())
+        (tmp_path / "X1.txt").write_text("stale X1\n")
+        (tmp_path / "Y1.txt").write_text("kept Y1\n")
+        report.record("X1", "first", "a")
+        report.record("X1", "second", "b")
+        x1 = (tmp_path / "X1.txt").read_text()
+        assert "stale" not in x1
+        assert x1.index("first") < x1.index("second")
+        # an experiment this session never ran keeps its old record
+        assert (tmp_path / "Y1.txt").read_text() == "kept Y1\n"
+        # a new session truncates again on its first write
+        report.clear()
+        report.record("X1", "third", "c")
+        assert "first" not in (tmp_path / "X1.txt").read_text()
+
+
 class TestKvHarness:
     @pytest.fixture(scope="class")
     def results(self):
