@@ -17,7 +17,7 @@ The cluster layer's acceptance run.  Three questions:
 import json
 import os
 
-from repro.cluster import availability_smoke, scaling_smoke
+from repro.cluster import availability_smoke, echo_smoke
 from repro.eval import format_table
 from repro.eval.report import RESULTS_DIR, record
 
@@ -33,8 +33,8 @@ JSON_PATH = os.path.join(os.path.abspath(RESULTS_DIR), "BENCH_S1.json")
 
 def run_scaling():
     return {
-        n: scaling_smoke(n_fpgas=n, duration=DURATION, clients=CLIENTS,
-                         requests_per_client=REQUESTS)
+        n: echo_smoke(n_fpgas=n, duration=DURATION, clients=CLIENTS,
+                      requests_per_client=REQUESTS)
         for n in FPGA_COUNTS
     }
 
@@ -70,8 +70,8 @@ def test_bench_cluster_scaleout():
         f"hit rate {availability['post_kill_hit_rate']}")
 
     # byte-identical rerun under the same seed
-    rerun = scaling_smoke(n_fpgas=2, duration=DURATION, clients=CLIENTS,
-                          requests_per_client=REQUESTS)
+    rerun = echo_smoke(n_fpgas=2, duration=DURATION, clients=CLIENTS,
+                       requests_per_client=REQUESTS)
     assert rerun == scaling[2], "cluster run is not deterministic"
 
     rows = []

@@ -17,7 +17,7 @@ from repro.apps import deploy_pipeline
 from repro.baselines import Morphlet, MorphletScheduler
 from repro.eval import format_table
 from repro.eval.report import record
-from repro.kernel import ApiarySystem
+from repro.kernel import ApiarySystem, SystemConfig
 from repro.sim import Engine
 
 N_CHUNKS = 10
@@ -34,7 +34,7 @@ def compress_cycles(nbytes):
 
 
 def run_apiary():
-    system = ApiarySystem(width=4, height=4)
+    system = ApiarySystem(config=SystemConfig())
     system.boot()
     stages, started = deploy_pipeline(system, nodes=[4, 5],
                                       third_party_compressor=True)

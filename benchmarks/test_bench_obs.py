@@ -1,6 +1,6 @@
 """O1 — the observability plane: overhead, accuracy, and determinism.
 
-Three claims, one run harness (``repro.obs.smoke.obs_plane_smoke``):
+Three claims, one run harness (``repro.cluster.smoke.echo_smoke``):
 
 * **overhead** — arming the whole plane (tracing, per-board flight
   recorders, the SLO engine, sketch-backed stats) on the serving
@@ -30,10 +30,10 @@ import math
 import os
 import time
 
+from repro.cluster import echo_smoke
 from repro.eval import format_table
 from repro.eval.report import RESULTS_DIR, record
 from repro.obs.sketch import QuantileSketch
-from repro.obs.smoke import obs_plane_smoke
 from repro.sim import Histogram
 
 REDUCED = os.environ.get("O1_REDUCED") == "1"
@@ -51,7 +51,8 @@ JSON_PATH = os.path.join(os.path.abspath(RESULTS_DIR), "BENCH_O1.json")
 
 def _workload(**extra):
     base = dict(n_fpgas=2, duration=DURATION, clients=CLIENTS,
-                requests_per_client=REQUESTS_PER_CLIENT)
+                requests_per_client=REQUESTS_PER_CLIENT, work_cycles=3_000,
+                instances_per_fpga=1, max_pending=64, kill_index=1)
     base.update(extra)
     return base
 
@@ -61,7 +62,7 @@ def _timed(observability):
     best, stats = math.inf, None
     for _ in range(TIMING_ROUNDS):
         t0 = time.perf_counter()
-        stats = obs_plane_smoke(observability=observability, **_workload())
+        stats = echo_smoke(observability=observability, **_workload())
         best = min(best, time.perf_counter() - t0)
     return best, stats
 
@@ -87,8 +88,8 @@ def _accuracy():
 def run_all():
     wall_off, stats_off = _timed(False)
     wall_on, stats_on = _timed(True)
-    identity = [obs_plane_smoke(backend="sequential", identity=True,
-                                **_workload())
+    identity = [echo_smoke(backend="sequential", observability=True,
+                           identity=True, **_workload())
                 for _ in range(2)]
     return {
         "overhead": {"wall_off_s": wall_off, "wall_on_s": wall_on,

@@ -13,7 +13,7 @@ import pytest
 from repro.accel import Accelerator
 from repro.eval import format_table
 from repro.eval.report import record
-from repro.kernel import ApiarySystem
+from repro.kernel import ApiarySystem, NetConfig, NocConfig, SystemConfig
 from repro.net import EthernetFabric, HundredGigMac, TenGigMac
 from repro.sim import Engine
 from repro.workloads import RemoteClientHost
@@ -51,9 +51,12 @@ class ByteEcho(Accelerator):
 def run_config(mac_kind, part_name):
     engine = Engine()
     fabric = EthernetFabric(engine, latency_cycles=500, jumbo=True)
-    system = ApiarySystem(width=3, height=2, engine=engine, fabric=fabric,
-                          mac_kind=mac_kind, mac_addr="board0",
-                          part_name=part_name)
+    system = ApiarySystem(
+        config=SystemConfig(part_name=part_name,
+                            noc=NocConfig(width=3, height=2),
+                            net=NetConfig(mac_kind=mac_kind,
+                                          mac_addr="board0")),
+        engine=engine, fabric=fabric)
     system.boot()
     app = ByteEcho()
     engine.run_until_done(system.start_app(3, app), limit=50_000_000)

@@ -23,6 +23,7 @@ from repro.kernel import (
     ApiarySystem,
     RemoteCpuServiceHost,
     RemoteServiceProxy,
+    SystemConfig,
 )
 from repro.net import EthernetFabric
 from repro.sim import Engine
@@ -79,7 +80,7 @@ class LookupClient(Accelerator):
 
 
 def run_hardware():
-    system = ApiarySystem(width=3, height=2)
+    system = ApiarySystem(config=SystemConfig.figure1())
     system.boot()
     system.run_until(system.mgmt.load_service(
         3, HardwareDictService("dict-hw"), "svc.dict"))
@@ -102,8 +103,8 @@ def run_remote():
     handler.table = {}
     engine = Engine()
     fabric = EthernetFabric(engine, latency_cycles=400)
-    system = ApiarySystem(width=3, height=2, engine=engine, fabric=fabric,
-                          mac_kind="100g", mac_addr="board0")
+    system = ApiarySystem(config=SystemConfig.figure1().with_mac("board0"),
+                          engine=engine, fabric=fabric)
     system.boot()
     host = RemoteCpuServiceHost(engine, fabric, "cpu0", handler)
     proxy = RemoteServiceProxy("dict-proxy", remote_mac="cpu0", port=88)

@@ -12,7 +12,7 @@ from repro.accel import Accelerator
 from repro.apps import deploy_replicated_encoder
 from repro.eval import format_table
 from repro.eval.report import record
-from repro.kernel import ApiarySystem
+from repro.kernel import ApiarySystem, SystemConfig
 
 REPLICA_SETS = {
     1: [4],
@@ -41,7 +41,7 @@ class BurstClient(Accelerator):
 
 
 def run_replicas(n_replicas):
-    system = ApiarySystem(width=4, height=4)
+    system = ApiarySystem(config=SystemConfig())
     system.boot()
     balancer, replicas, started = deploy_replicated_encoder(
         system, lb_node=5, replica_nodes=REPLICA_SETS[n_replicas]

@@ -11,7 +11,7 @@ Run:  python examples/multitenant_kv.py
 """
 
 from repro.accel import Accelerator, KvStore, SnoopingAccel, VideoEncoder
-from repro.kernel import ApiarySystem
+from repro.kernel import ApiarySystem, SystemConfig
 from repro.net import EthernetFabric
 from repro.sim import Engine
 from repro.workloads import RemoteClientHost
@@ -35,8 +35,8 @@ class VideoTenant(Accelerator):
 def main():
     engine = Engine()
     fabric = EthernetFabric(engine, latency_cycles=400)
-    system = ApiarySystem(width=4, height=4, engine=engine,
-                          fabric=fabric, mac_addr="board0")
+    system = ApiarySystem(config=SystemConfig().with_mac("board0"),
+                          engine=engine, fabric=fabric)
     system.boot()
     system.tracer.enable(prefixes=["monitor."])
 

@@ -10,7 +10,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro.accel import Accelerator
-from repro.kernel import ApiarySystem
+from repro.kernel import ApiarySystem, SystemConfig
 from repro.obs import export_chrome_trace
 
 
@@ -37,7 +37,7 @@ class HelloAccel(Accelerator):
 
 
 def main():
-    system = ApiarySystem(width=3, height=2)
+    system = ApiarySystem(config=SystemConfig.figure1())
     system.enable_tracing()  # causal spans; zero-cost unless enabled
     system.boot()
     print("Booted Apiary:")

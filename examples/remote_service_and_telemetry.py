@@ -19,6 +19,7 @@ from repro.kernel import (
     ApiarySystem,
     RemoteCpuServiceHost,
     RemoteServiceProxy,
+    SystemConfig,
 )
 from repro.net import EthernetFabric
 from repro.sim import Engine
@@ -28,8 +29,8 @@ def part1_remote_service():
     print("=== Part 1: a service on a remote CPU (Section 6, Q3) ===")
     engine = Engine()
     fabric = EthernetFabric(engine, latency_cycles=400)
-    system = ApiarySystem(width=3, height=2, engine=engine, fabric=fabric,
-                          mac_kind="100g", mac_addr="board0")
+    system = ApiarySystem(config=SystemConfig.figure1().with_mac("board0"),
+                          engine=engine, fabric=fabric)
     system.boot()
 
     table = {}
@@ -82,7 +83,7 @@ def part1_remote_service():
 
 def part2_telemetry():
     print("=== Part 2: telemetry + closed-loop policing ===")
-    system = ApiarySystem(width=3, height=2)
+    system = ApiarySystem(config=SystemConfig.figure1())
     system.boot()
     victim = SinkAccel("victim", service_cycles=5)
     flooder = FloodingAccel("flooder", victim="app.victim", message_bytes=64)

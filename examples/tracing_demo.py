@@ -18,7 +18,7 @@ Run:  python examples/tracing_demo.py [--out trace_demo.json]
 import argparse
 
 from repro.accel import Accelerator
-from repro.kernel import ApiarySystem
+from repro.kernel import ApiarySystem, SystemConfig
 from repro.obs import SpanIndex, export_chrome_trace, run_report, validate_chrome_trace
 
 
@@ -48,7 +48,7 @@ def main(argv=None):
                         help="write/read round-trips to run")
     args = parser.parse_args(argv)
 
-    system = ApiarySystem(width=3, height=2)
+    system = ApiarySystem(config=SystemConfig.figure1())
     system.enable_tracing()
     system.enable_telemetry(interval=500)
     system.boot()

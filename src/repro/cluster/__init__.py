@@ -30,7 +30,7 @@ from repro.cluster.directory import (
 )
 from repro.cluster.frontend import FRONTEND_PORT, BackendHealth, FrontEnd
 from repro.cluster.service import ClusterPortedService
-from repro.cluster.smoke import availability_smoke, scaling_smoke
+from repro.cluster.smoke import availability_smoke, echo_smoke
 
 __all__ = [
     "Cluster",
@@ -51,6 +51,6 @@ __all__ = [
     "BackendHealth",
     "FRONTEND_PORT",
     "ClusterPortedService",
-    "scaling_smoke",
+    "echo_smoke",
     "availability_smoke",
 ]

@@ -34,9 +34,7 @@ current window barrier.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-from typing import Union
+from typing import List, Optional, Union
 
 from repro.cluster.backend import BACKENDS, ClusterBackend
 from repro.cluster.config import ClusterConfig
@@ -58,28 +56,35 @@ class Cluster:
 
     def __init__(
         self,
-        n_fpgas: int = 2,
+        n_fpgas: Optional[int] = None,
         config: Optional[Union[SystemConfig, ClusterConfig]] = None,
         engine: Optional[Engine] = None,
         fabric: Optional[EthernetFabric] = None,
-        fabric_latency: int = 500,
-        backend: str = "shared",
-        swallow_orphan_errors: bool = False,
+        fabric_latency: Optional[int] = None,
+        backend: Optional[str] = None,
+        swallow_orphan_errors: Optional[bool] = None,
     ):
-        # the config-object path: one ClusterConfig carries everything the
-        # flat kwargs + post-construction enable_* calls used to; its
-        # fields win over the flat kwargs (which stay at their defaults
-        # when a ClusterConfig is given)
+        # a ClusterConfig carries everything the keywords + post-build
+        # enable_* calls do; a keyword given next to it must agree
+        given = {"n_fpgas": n_fpgas, "fabric_latency": fabric_latency,
+                 "backend": backend,
+                 "swallow_orphan_errors": swallow_orphan_errors}
         if isinstance(config, ClusterConfig):
+            for name, value in given.items():
+                if value is not None and value != getattr(config, name):
+                    raise ConfigError(
+                        f"Cluster({name}={value!r}) disagrees with the "
+                        f"ClusterConfig's {name}={getattr(config, name)!r}")
             self.cluster_config: Optional[ClusterConfig] = config
-            n_fpgas = config.n_fpgas
-            fabric_latency = config.fabric_latency
-            backend = config.backend
-            swallow_orphan_errors = config.swallow_orphan_errors
             base = config.system
         else:
             self.cluster_config = None
             base = config if config is not None else SystemConfig.figure1()
+        # an omitted keyword reads the config (or the dataclass default)
+        defaults = self.cluster_config or ClusterConfig
+        n_fpgas, fabric_latency, backend, swallow_orphan_errors = (
+            getattr(defaults, name) if value is None else value
+            for name, value in given.items())
         if n_fpgas < 1:
             raise ConfigError(f"need >= 1 FPGA, got {n_fpgas}")
         if backend not in BACKENDS:
@@ -116,7 +121,7 @@ class Cluster:
 
         Order matters only in that the cache comes first (so every
         subsequent deploy routes through it); ``boot()`` stays the
-        caller's move, as in the flat spelling.
+        caller's move, as in the keyword spelling.
         """
         if cfg.cache.enabled:
             self.enable_bitstream_cache(

@@ -15,11 +15,10 @@ of them into one frozen, validated object::
         obs=ObsConfig(tracing=True),
     ))
 
-The flat spelling (``Cluster(n_fpgas=4, config=SystemConfig(...))``
-followed by toggle calls) keeps working unchanged and builds
-byte-identical clusters — pinned by test — exactly like the
-``SystemConfig.from_flat`` bridge one layer down.  :meth:`from_flat`
-is that bridge for this layer.
+The short spelling (``Cluster(n_fpgas=4, config=SystemConfig(...))``
+followed by toggle calls) builds byte-identical clusters — pinned by
+test.  Handing ``Cluster`` a :class:`ClusterConfig` *and* a keyword that
+disagrees with it raises :class:`~repro.errors.ConfigError`.
 
 Sub-config defaults mirror the toggle methods' keyword defaults, so
 ``XConfig(enabled=True)`` with nothing else behaves like calling
@@ -208,7 +207,7 @@ class ClusterConfig:
 
     n_fpgas: int = 2
     #: per-board base config; each board derives its variant (unique MAC,
-    #: shifted seed) exactly as the flat path does
+    #: shifted seed) from it
     system: SystemConfig = field(default_factory=SystemConfig.figure1)
     fabric_latency: int = 500
     backend: str = "shared"
@@ -225,24 +224,3 @@ class ClusterConfig:
             raise ConfigError(f"need >= 1 FPGA, got {self.n_fpgas}")
         if self.fabric_latency < 0:
             raise ConfigError("fabric_latency must be >= 0")
-
-    @staticmethod
-    def from_flat(**kwargs) -> "ClusterConfig":
-        """Fold the legacy flat Cluster kwargs into a ClusterConfig.
-
-        Accepts exactly the old ``Cluster(...)`` construction keywords
-        (``n_fpgas``, ``config`` — the per-board SystemConfig —,
-        ``fabric_latency``, ``backend``, ``swallow_orphan_errors``); all
-        toggles stay at their off defaults, matching a flat-built cluster
-        before any ``enable_*`` call.
-        """
-        system = kwargs.get("config")
-        return ClusterConfig(
-            n_fpgas=kwargs.get("n_fpgas", 2),
-            system=system if system is not None
-            else SystemConfig.figure1(),
-            fabric_latency=kwargs.get("fabric_latency", 500),
-            backend=kwargs.get("backend", "shared"),
-            swallow_orphan_errors=kwargs.get("swallow_orphan_errors",
-                                             False),
-        )

@@ -1,9 +1,12 @@
-"""Reusable cluster experiments: the S1 scaling and availability runs.
+"""Reusable cluster experiments: the S1 scaling, O1 observability and
+availability runs.
 
-One parameterized harness shared by the unit tests, the S1 benchmark,
-and the CI scaling smoke — so all three measure the same thing and the
-CI byte-identity check pins the whole cluster stack (placement, routing,
-batching, retries) to deterministic behaviour.
+One parameterized closed-loop echo harness (:func:`echo_smoke`) is shared
+by the unit tests, the S1 and O1 benchmarks, the CI smokes and the
+determinism checks, so they all measure the same thing.  S1 runs it bare
+(throughput vs board count); O1 arms the observability plane and kills a
+board mid-run.  :func:`availability_smoke` is the sharded-kvstore kill
+run.
 
 Every quantity is derived from the simulated clock and seeded streams;
 two calls with the same arguments produce identical stats dicts.
@@ -11,16 +14,30 @@ two calls with the same arguments produce identical stats dicts.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Dict, List, Optional
 
 from repro.cluster.cluster import Cluster
 from repro.kernel.config import SystemConfig
+from repro.obs.flight import validate_flight_dump
+from repro.obs.profile import CycleProfiler
+from repro.obs.slo import SLOTarget
 from repro.obs.span import SpanRecorder
 from repro.policy import RetryPolicy
 from repro.sim import Histogram
 from repro.workloads.client import ClusterClient
 
-__all__ = ["scaling_smoke", "availability_smoke", "span_dump"]
+__all__ = ["echo_smoke", "availability_smoke", "span_dump"]
+
+#: the objectives the O1 run states: availability (answered, not
+#: rejected/failed) and a latency bound, plus a per-tenant copy of the
+#: latency objective so the multi-tenant accounting path stays exercised
+ECHO_SLO_TARGETS = (
+    SLOTarget("availability", "echo", objective=0.99),
+    SLOTarget("latency-p", "echo", objective=0.95, latency_cycles=60_000),
+    SLOTarget("latency-p", "echo", objective=0.95, latency_cycles=60_000,
+              tenant="tenant0"),
+)
 
 
 def span_dump(spans: SpanRecorder) -> List[tuple]:
@@ -69,16 +86,14 @@ def _kv_handler_factory(work_cycles: int):
     return make
 
 
-def _build(n_fpgas: int, seed: int, swallow_orphan_errors: bool = False,
-           backend: str = "shared", cache: bool = False) -> Cluster:
-    config = SystemConfig.figure1()
-    if seed:
-        from dataclasses import replace
-        config = replace(config, seed=seed)
-    # fault-injection runs swallow orphan errors and observe faults
-    # through the Apiary fault path (the Engine's documented contract)
-    cluster = Cluster(n_fpgas=n_fpgas, config=config, backend=backend,
-                      swallow_orphan_errors=swallow_orphan_errors)
+def _build(n_fpgas: int, seed: int, backend: str = "shared",
+           cache: bool = False) -> Cluster:
+    # the runs kill boards, so they swallow orphan errors and observe
+    # faults through the Apiary fault path (the Engine's documented
+    # contract)
+    cluster = Cluster(n_fpgas=n_fpgas,
+                      config=replace(SystemConfig.figure1(), seed=seed),
+                      backend=backend, swallow_orphan_errors=True)
     if cache:
         # before boot(), so even the OS-service loads route through the
         # per-board compile pipeline (a realistic cold boot)
@@ -95,7 +110,7 @@ def _identity_payload(cluster: Cluster) -> Dict[str, Any]:
     }
 
 
-def scaling_smoke(
+def echo_smoke(
     n_fpgas: int = 2,
     seed: int = 0,
     duration: int = 300_000,
@@ -104,9 +119,13 @@ def scaling_smoke(
     work_cycles: int = 4_000,
     instances_per_fpga: int = 2,
     max_pending: int = 256,
-    trace: bool = False,
+    observability: bool = False,
+    kill_index: Optional[int] = None,
+    kill_after: int = 150_000,
     backend: str = "shared",
     identity: bool = False,
+    dump_dir: Optional[str] = None,
+    trace_path: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Closed-loop echo workload against ``n_fpgas`` boards.
 
@@ -114,16 +133,29 @@ def scaling_smoke(
     percentiles, and front-end counters.  Throughput should scale with
     ``n_fpgas`` while the backends are the bottleneck — the S1 claim.
 
-    ``backend`` selects the cluster execution backend; ``identity=True``
-    attaches the span/stats payload the determinism checks compare
-    between two identically-seeded runs.
+    ``kill_index`` kills that board ``kill_after`` cycles into serving
+    (multi-board runs only).  ``observability=True`` arms the whole
+    plane: cluster-wide tracing, per-board flight recorders (dumping on
+    the kill, to ``dump_dir`` when given), an SLO engine fed by the
+    front-end, and a cycle profiler over the merged span tree; the
+    Chrome trace goes to ``trace_path`` when given.  The simulated
+    workload is identical with the plane on or off — the O1 overhead
+    pair times the two calls from the outside.
+
+    ``identity=True`` records spans and attaches the payload the
+    determinism checks compare between runs: spans, per-board stats
+    snapshots (sketch summaries included) and, with the plane on, the
+    SLO report and per-board flight reports with their dump documents.
     """
     cluster = _build(n_fpgas, seed, backend=backend)
-    if trace:
+    if observability or identity:
         cluster.enable_tracing()
+    if observability:
+        cluster.enable_flight_recorders(dump_dir=dump_dir)
+        cluster.enable_slo(ECHO_SLO_TARGETS)
+    instances = instances_per_fpga * n_fpgas
     started = cluster.deploy_stateless(
-        "echo", _echo_handler_factory(work_cycles),
-        instances=instances_per_fpga * n_fpgas)
+        "echo", _echo_handler_factory(work_cycles), instances=instances)
     # partial reconfiguration is hundreds of kilocycles per bitstream;
     # measure serving, not deployment
     cluster.run_until(started, limit=50_000_000)
@@ -144,24 +176,29 @@ def scaling_smoke(
     start = cluster.engine.now
     for c in range(clients):
         host = ClusterClient(cluster.engine, cluster.fabric, f"host{c}")
-        requests = [{"body": {"x": c * requests_per_client + i}}
+        requests = [{"body": {"x": c * requests_per_client + i},
+                     "tenant": f"tenant{c % 2}"}
                     for i in range(requests_per_client)]
         cluster.engine.process(
             host.closed_loop_service("echo", requests, timeout=duration),
             name=f"{host.mac}.loop")
         hosts.append(host)
+    if kill_index is not None and n_fpgas > 1:
+        cluster.run(until=start + kill_after)
+        cluster.kill_fpga(kill_index)
     cluster.run(until=start + duration)
-    elapsed = cluster.engine.now - start
+    end = cluster.engine.now
+    elapsed = end - start
 
     ok = sum(h.ok for h in hosts)
     merged = Histogram("cluster.latency")
     for h in hosts:
         merged.merge(h.latency)
-    stats = {
+    stats: Dict[str, Any] = {
         "n_fpgas": n_fpgas,
         "clients": clients,
         "work_cycles": work_cycles,
-        "instances": instances_per_fpga * n_fpgas,
+        "instances": instances,
         "elapsed_cycles": elapsed,
         "completed": ok,
         "rejected": sum(h.rejected for h in hosts),
@@ -177,8 +214,40 @@ def scaling_smoke(
             "failovers": frontend.failovers,
         },
     }
+
+    if observability:
+        stats["slo"] = cluster.slo.report(end)
+        stats["slo_text"] = cluster.slo.report_text(end)
+        profiler = CycleProfiler(cluster.span_index())
+        stats["profile"] = {
+            "traces": profiler.traces,
+            "total_cycles": profiler.total_cycles,
+            "top": profiler.top(10),
+        }
+        if trace_path is not None:
+            from repro.obs.export import export_chrome_trace
+            doc = export_chrome_trace(trace_path, cluster.merged_spans())
+            stats["trace_events"] = len(doc["traceEvents"])
+        # every retained dump must be structurally valid — the same gate
+        # CI applies to the on-disk artifact before uploading
+        stats["flight"] = {
+            board: {
+                "seen": report["seen"],
+                "ring": len(report["entries"]),
+                "dumps": len(report["dumps"]),
+                "dump_reasons": [d["reason"] for d in report["dumps"]],
+                "dump_entries": [validate_flight_dump(d)
+                                 for d in report["dumps"]],
+            }
+            for board, report in sorted(cluster.flight_reports().items())
+        }
+
     if identity:
-        stats["identity"] = _identity_payload(cluster)
+        payload = _identity_payload(cluster)
+        if observability:
+            payload["slo"] = cluster.slo.report(end)
+            payload["flight"] = cluster.flight_reports()
+        stats["identity"] = payload
     return stats
 
 
@@ -192,7 +261,6 @@ def availability_smoke(
     kill_index: Optional[int] = 1,
     kill_after: int = 150_000,
     post_kill: int = 400_000,
-    trace: bool = False,
     backend: str = "shared",
     identity: bool = False,
     cache: bool = False,
@@ -205,13 +273,14 @@ def availability_smoke(
     surviving replicas after the kill.  On the windowed backend the kill
     lands at a window barrier — the chaos arm of the PDES determinism
     contract.
+    ``identity=True`` records spans and attaches the span/stats payload
+    the determinism checks compare.
     ``cache=True`` routes every load through the per-board bitstream
     compile-and-cache pipeline, putting its counters/state into the same
     identity payload — the cache arm of that contract.
     """
-    cluster = _build(n_fpgas, seed, swallow_orphan_errors=True,
-                     backend=backend, cache=cache)
-    if trace:
+    cluster = _build(n_fpgas, seed, backend=backend, cache=cache)
+    if identity:
         cluster.enable_tracing()
     started = cluster.deploy_sharded("kv", _kv_handler_factory(work_cycles),
                                      n_shards=n_shards,
@@ -258,9 +327,7 @@ def availability_smoke(
         cluster.run(until=start + kill_after)
         killed_at.append(cluster.engine.now)
         cluster.kill_fpga(kill_index)
-        cluster.run(until=start + kill_after + post_kill)
-    else:
-        cluster.run(until=start + kill_after + post_kill)
+    cluster.run(until=start + kill_after + post_kill)
 
     pre_total = outcome["pre_ok"] + outcome["pre_bad"]
     post_total = outcome["post_ok"] + outcome["post_bad"]

@@ -1,9 +1,8 @@
-"""Typed system configuration — the config-object face of ApiarySystem.
+"""Typed system configuration — the one way to configure an ApiarySystem.
 
-:class:`~repro.kernel.system.ApiarySystem` grew ~25 construction knobs as
-the reproduction grew subsystems.  This module groups them into four
-validated sub-objects plus a small top level, so callers say *what part of
-the machine* they are tuning:
+An :class:`~repro.kernel.system.ApiarySystem` has ~25 settings.  This
+module groups them into four validated sub-objects plus a small top level,
+so callers say *what part of the machine* they are tuning:
 
 * :class:`NocConfig` — tile grid and router parameters (plus the
   ``router_cls`` escape hatch the P1 baseline comparison uses);
@@ -14,12 +13,9 @@ the machine* they are tuning:
   the engine — it is a shared *object*, not a per-system setting);
 * :class:`FaultConfig` — fault-handling policy and monitor enforcement.
 
-``ApiarySystem(config=SystemConfig(...))`` is the primary constructor; the
-flat kwargs remain as a deprecated-but-working path that builds the exact
-same :class:`SystemConfig` and goes through the same build code, so the
-two spellings produce byte-identical systems (the config-equivalence test
-verifies this).  All config objects are frozen dataclasses, so the cluster
-layer derives per-FPGA variations with :func:`dataclasses.replace`::
+``ApiarySystem(config=SystemConfig(...))`` is the only constructor.  All
+config objects are frozen dataclasses, so callers and the cluster layer
+derive variations with :func:`dataclasses.replace`::
 
     cfg = SystemConfig.figure1()
     per_fpga = replace(cfg, seed=cfg.seed + i,
@@ -193,45 +189,3 @@ class SystemConfig:
     def with_mac(self, mac_addr: str) -> "SystemConfig":
         """This config with a different fabric address (cluster members)."""
         return replace(self, net=replace(self.net, mac_addr=mac_addr))
-
-    @classmethod
-    def from_flat(cls, **kwargs) -> "SystemConfig":
-        """Build from :class:`ApiarySystem`'s legacy flat kwargs.
-
-        This is the compatibility shim behind the deprecated flat-kwargs
-        constructor path; new code should build :class:`SystemConfig`
-        directly.
-        """
-        return cls(
-            part_name=kwargs.get("part_name", "VU29P"),
-            seed=kwargs.get("seed", 0),
-            monitor_cap_slots=kwargs.get("monitor_cap_slots", 64),
-            noc=NocConfig(
-                width=kwargs.get("width", 4),
-                height=kwargs.get("height", 4),
-                num_vcs=kwargs.get("num_vcs", 2),
-                vc_classes=kwargs.get("vc_classes", 2),
-                buffer_depth=kwargs.get("buffer_depth", 4),
-                hop_latency=kwargs.get("hop_latency", 2),
-                flit_bytes=kwargs.get("noc_flit_bytes", 16),
-                rate_limit_flits=kwargs.get("rate_limit_flits"),
-                rate_limit_burst=kwargs.get("rate_limit_burst", 32),
-                router_cls=kwargs.get("router_cls"),
-            ),
-            mem=MemConfig(
-                enabled=kwargs.get("with_memory", True),
-                tile=kwargs.get("mem_tile", 0),
-                dram_channels=kwargs.get("dram_channels", 2),
-                dram_capacity=kwargs.get("dram_capacity", 1 << 30),
-                dram_timing=kwargs.get("dram_timing", DDR4_TIMING),
-            ),
-            net=NetConfig(
-                mac_kind=kwargs.get("mac_kind", "100g"),
-                mac_addr=kwargs.get("mac_addr", "fpga0"),
-                tile=kwargs.get("net_tile", 1),
-            ),
-            fault=FaultConfig(
-                policy=kwargs.get("policy", FaultPolicy.FAIL_STOP),
-                enforce=kwargs.get("enforce", True),
-            ),
-        )

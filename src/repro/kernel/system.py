@@ -6,15 +6,13 @@ management plane, and — on request — the memory and network services on
 tiles of their own.  Also provides :func:`build_figure1`, the exact
 configuration the paper's Figure 1 draws, used by the F1 experiment.
 
-Construction has two faces:
+Construction takes one typed, validated
+:class:`~repro.kernel.config.SystemConfig` (see :mod:`repro.kernel.config`)
+plus the runtime objects the board plugs into::
 
-* ``ApiarySystem(config=SystemConfig(...))`` — the primary path: a typed,
-  validated config object (see :mod:`repro.kernel.config`), which is what
-  the cluster layer derives per-FPGA variants from;
-* the legacy flat kwargs (``ApiarySystem(width=4, mem_tile=0, ...)``) —
-  deprecated but fully working: they are folded into the exact same
-  :class:`SystemConfig` and build through the same code path, so both
-  spellings produce byte-identical systems.
+    ApiarySystem(config=SystemConfig.figure1(), engine=..., fabric=...)
+
+The cluster layer derives its per-FPGA variants from the same config.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from repro.hw.device import FpgaPart, part as lookup_part
 from repro.hw.region import ReconfigRegion
 from repro.hw.resources import ResourceBudget, ResourceVector, monitor_cost, router_cost
 from repro.kernel.config import SystemConfig
-from repro.kernel.fault import FaultManager, FaultPolicy
+from repro.kernel.fault import FaultManager
 from repro.kernel.mgmt import MgmtPlane
 from repro.kernel.monitor import Monitor
 from repro.kernel.naming import Namespace
@@ -40,11 +38,12 @@ from repro.kernel.services import (
     TenGigAdapter,
 )
 from repro.kernel.tile import Tile
-from repro.mem.dram import DDR4_TIMING, Dram, DramTiming
+from repro.mem.dram import Dram
 from repro.mem.segment import SegmentTable
 from repro.net.ethernet import HundredGigMac, TenGigMac
 from repro.net.frame import EthernetFabric
 from repro.noc.network import Network
+from repro.noc.router import Router
 from repro.noc.topology import Mesh2D
 from repro.obs.index import SpanIndex
 from repro.obs.span import SpanRecorder
@@ -57,63 +56,24 @@ __all__ = ["ApiarySystem", "build_figure1"]
 class ApiarySystem:
     """One direct-attached FPGA running Apiary.
 
-    Preferred construction::
-
-        ApiarySystem(config=SystemConfig(...), engine=..., fabric=...)
-
-    Runtime *objects* stay keyword arguments: ``engine`` (shared clock),
-    ``fabric`` (the datacenter segment this board plugs into), ``spans``
-    (a shared span recorder, so a cluster's systems record one causal
-    trace), and ``drc`` (bitstream screening).  Everything else lives in
-    the config; the flat kwargs below remain as a deprecated path that
-    builds the identical config.
+    Runtime *objects* stay keyword arguments next to the config:
+    ``engine`` (shared clock), ``fabric`` (the datacenter segment this
+    board plugs into), ``spans`` (a shared span recorder, so a cluster's
+    systems record one causal trace), and ``drc`` (bitstream screening).
+    Everything else lives in ``config``; omitting it builds the default
+    4x4 :class:`SystemConfig`.
     """
 
     def __init__(
         self,
-        width: int = 4,
-        height: int = 4,
-        engine: Optional[Engine] = None,
-        part_name: str = "VU29P",
-        enforce: bool = True,
-        rate_limit_flits: Optional[float] = None,
-        rate_limit_burst: int = 32,
-        num_vcs: int = 2,
-        vc_classes: int = 2,
-        buffer_depth: int = 4,
-        hop_latency: int = 2,
-        noc_flit_bytes: int = 16,
-        policy: FaultPolicy = FaultPolicy.FAIL_STOP,
-        drc: Optional[DesignRuleChecker] = None,
-        seed: int = 0,
-        with_memory: bool = True,
-        mem_tile: int = 0,
-        dram_channels: int = 2,
-        dram_capacity: int = 1 << 30,
-        dram_timing: DramTiming = DDR4_TIMING,
-        fabric: Optional[EthernetFabric] = None,
-        mac_kind: str = "100g",
-        mac_addr: str = "fpga0",
-        net_tile: int = 1,
-        monitor_cap_slots: int = 64,
-        router_cls: Optional[type] = None,
         config: Optional[SystemConfig] = None,
+        engine: Optional[Engine] = None,
+        fabric: Optional[EthernetFabric] = None,
         spans: Optional[SpanRecorder] = None,
+        drc: Optional[DesignRuleChecker] = None,
     ):
         if config is None:
-            # deprecated flat-kwargs path: fold into the one true config
-            config = SystemConfig.from_flat(
-                width=width, height=height, part_name=part_name,
-                enforce=enforce, rate_limit_flits=rate_limit_flits,
-                rate_limit_burst=rate_limit_burst, num_vcs=num_vcs,
-                vc_classes=vc_classes, buffer_depth=buffer_depth,
-                hop_latency=hop_latency, noc_flit_bytes=noc_flit_bytes,
-                policy=policy, seed=seed, with_memory=with_memory,
-                mem_tile=mem_tile, dram_channels=dram_channels,
-                dram_capacity=dram_capacity, dram_timing=dram_timing,
-                mac_kind=mac_kind, mac_addr=mac_addr, net_tile=net_tile,
-                monitor_cap_slots=monitor_cap_slots, router_cls=router_cls,
-            )
+            config = SystemConfig()
         if fabric is not None:
             config.validate_attached()
         self.config = config
@@ -131,8 +91,6 @@ class ApiarySystem:
         self.part: FpgaPart = lookup_part(config.part_name)
         self.topo = Mesh2D(noc.width, noc.height)
         self.enforce = config.fault.enforce
-        network_kwargs = {} if noc.router_cls is None \
-            else {"router_cls": noc.router_cls}
         self.network = Network(
             self.engine, self.topo,
             num_vcs=noc.num_vcs, vc_classes=noc.vc_classes,
@@ -140,7 +98,7 @@ class ApiarySystem:
             flit_bytes=noc.flit_bytes,
             stats=self.stats, tracer=self.tracer,
             spans=self.spans,
-            **network_kwargs,
+            router_cls=noc.router_cls or Router,
         )
         self.caps = CapabilityStore(slots_per_holder=config.monitor_cap_slots)
         self.segments = SegmentTable()
@@ -451,6 +409,5 @@ def build_figure1(engine: Optional[Engine] = None,
     engine = engine or Engine()
     if fabric is None:
         fabric = EthernetFabric(engine, latency_cycles=500)
-    system = ApiarySystem(engine=engine, fabric=fabric,
-                          config=SystemConfig.figure1())
-    return system
+    return ApiarySystem(config=SystemConfig.figure1(), engine=engine,
+                        fabric=fabric)

@@ -118,20 +118,6 @@ class FlightRecorder:
         out["dumps"] = list(self.dumps)
         return out
 
-    # -- merge (PDES roll-up) -------------------------------------------
-
-    def absorb(self, other: "FlightRecorder") -> None:
-        """Adopt a collected sibling's state (cluster-side aggregation).
-
-        Flight rings are per-board — unlike counters they are not summed;
-        ``absorb`` replaces local state with the sibling's, so the two
-        recorders' reports are byte-identical afterwards.
-        """
-        self._ring = deque(other._ring, maxlen=self.capacity)
-        self._seen = other._seen
-        self.dumps = list(other.dumps)
-        self._last_dump_cycle = other._last_dump_cycle
-
     # -- dumping ---------------------------------------------------------
 
     def dump(self, now: int, reason: str,

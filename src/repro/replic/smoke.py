@@ -37,7 +37,7 @@ import random
 from typing import Any, Dict, List, Optional
 
 from repro.cluster.cluster import Cluster
-from repro.kernel.config import SystemConfig
+from repro.kernel.config import NocConfig, SystemConfig
 from repro.policy import RetryPolicy
 from repro.replic.history import HistoryChecker
 from repro.replic.machine import KvMachine
@@ -50,7 +50,7 @@ __all__ = ["consistency_smoke"]
 def _build(n_fpgas: int, seed: int) -> Cluster:
     # a 3x3 grid (7 app tiles after mem+net) leaves headroom for repair
     # splices to place replacement replicas even mid-chaos
-    config = SystemConfig.from_flat(width=3, height=3, seed=seed)
+    config = SystemConfig(seed=seed, noc=NocConfig(width=3, height=3))
     engine = Engine(swallow_orphan_errors=True)
     cluster = Cluster(n_fpgas=n_fpgas, config=config, engine=engine)
     cluster.boot()
@@ -80,12 +80,9 @@ def consistency_smoke(
     partition_at: Optional[int] = 1_000_000,
     heal_at: Optional[int] = 1_700_000,
     settle: int = 1_600_000,
-    trace: bool = False,
 ) -> Dict[str, Any]:
     """Run the R2 chaos campaign; returns the deterministic report dict."""
     cluster = _build(n_fpgas, seed)
-    if trace:
-        cluster.enable_tracing()
     engine = cluster.engine
     cluster.enable_recovery()
     cluster.start_replication()

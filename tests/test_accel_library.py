@@ -13,13 +13,11 @@ from repro.accel import (
     VideoEncoder,
     WildWriterAccel,
 )
-from repro.kernel import ApiarySystem
+from repro.kernel import ApiarySystem, SystemConfig
 
 
-def booted(**kwargs):
-    kwargs.setdefault("width", 3)
-    kwargs.setdefault("height", 2)
-    system = ApiarySystem(**kwargs)
+def booted():
+    system = ApiarySystem(config=SystemConfig.figure1())
     system.boot()
     return system
 

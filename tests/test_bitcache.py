@@ -35,7 +35,7 @@ from repro.hw.compile import (
 )
 from repro.hw.region import reconfig_duration
 from repro.hw.resources import ResourceVector
-from repro.kernel import ApiarySystem
+from repro.kernel import ApiarySystem, MemConfig, NocConfig, SystemConfig
 from repro.sim import Engine
 
 
@@ -280,8 +280,10 @@ class TestBoardBitstreamStore:
 
 class TestMgmtArtifactPath:
     def system(self, cache=True):
-        system = ApiarySystem(width=3, height=2, with_memory=False,
-                              drc=DesignRuleChecker())
+        system = ApiarySystem(
+            config=SystemConfig(noc=NocConfig(width=3, height=2),
+                                mem=MemConfig(enabled=False)),
+            drc=DesignRuleChecker())
         if cache:
             system.enable_bitstream_cache()
         return system
@@ -506,7 +508,7 @@ class TestMidSynthesisChaos:
 
 
 CACHE_CHAOS_ARGS = dict(n_fpgas=2, kill_after=80_000, post_kill=150_000,
-                        trace=True, identity=True, cache=True)
+                        identity=True, cache=True)
 
 
 class TestPdesCacheIdentity:

@@ -13,16 +13,14 @@ from repro.chaos import (
     checksum,
 )
 from repro.errors import ConfigError, DramFault
-from repro.kernel import ApiarySystem
+from repro.kernel import ApiarySystem, SystemConfig
 from repro.net.frame import EthernetFabric
 from repro.policy import RetryPolicy
 from repro.sim import Engine
 
 
-def small_system(**kwargs):
-    kwargs.setdefault("width", 3)
-    kwargs.setdefault("height", 2)
-    system = ApiarySystem(**kwargs)
+def small_system():
+    system = ApiarySystem(config=SystemConfig.figure1())
     system.boot()
     return system
 
@@ -170,8 +168,8 @@ class TestInjector:
     def test_eth_burst_applies_and_restores(self):
         engine = Engine()
         fabric = EthernetFabric(engine, latency_cycles=100)
-        system = ApiarySystem(width=3, height=2, engine=engine,
-                              fabric=fabric)
+        system = ApiarySystem(config=SystemConfig.figure1(),
+                              engine=engine, fabric=fabric)
         system.boot()
         inj = self.run_plan(system, [
             FaultEvent(1_000, FaultKind.ETH_LOSS_BURST, "fabric",

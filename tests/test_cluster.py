@@ -8,7 +8,7 @@ from repro.cluster import (
     FrontEnd,
     HashRing,
     availability_smoke,
-    scaling_smoke,
+    echo_smoke,
 )
 from repro.errors import ConfigError
 from repro.kernel import SystemConfig
@@ -217,20 +217,20 @@ class TestFailover:
 
 class TestScaling:
     def test_two_fpgas_beat_one(self):
-        one = scaling_smoke(n_fpgas=1, duration=150_000, clients=8,
-                            requests_per_client=100)
-        two = scaling_smoke(n_fpgas=2, duration=150_000, clients=8,
-                            requests_per_client=100)
+        one = echo_smoke(n_fpgas=1, duration=150_000, clients=8,
+                         requests_per_client=100)
+        two = echo_smoke(n_fpgas=2, duration=150_000, clients=8,
+                         requests_per_client=100)
         assert one["completed"] > 0
         speedup = (two["throughput_per_kcycle"]
                    / one["throughput_per_kcycle"])
         assert speedup >= 1.5
 
     def test_scaling_run_is_deterministic(self):
-        a = scaling_smoke(n_fpgas=2, duration=100_000, clients=4,
-                          requests_per_client=50)
-        b = scaling_smoke(n_fpgas=2, duration=100_000, clients=4,
-                          requests_per_client=50)
+        a = echo_smoke(n_fpgas=2, duration=100_000, clients=4,
+                       requests_per_client=50)
+        b = echo_smoke(n_fpgas=2, duration=100_000, clients=4,
+                       requests_per_client=50)
         assert a == b
 
 

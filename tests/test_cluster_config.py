@@ -1,12 +1,13 @@
 """ClusterConfig tests: the config-object redesign of the cluster API.
 
-One frozen, validated object replaces the flat kwargs + post-construction
+One frozen, validated object replaces the keyword + post-construction
 ``enable_*`` toggle chain.  The contracts under test: sub-config
-validation raises typed :class:`~repro.errors.ConfigError`, ``from_flat``
-bridges the legacy spelling, toggles fire exactly as their imperative
-counterparts do, the autoscaler inherits :class:`SchedConfig` defaults
-(explicit kwargs winning), and — the big one — a flat-built cluster and
-a config-built cluster produce byte-identical runs.
+validation raises typed :class:`~repro.errors.ConfigError`, a keyword
+that disagrees with a given ClusterConfig is refused, toggles fire
+exactly as their imperative counterparts do, the autoscaler inherits
+:class:`SchedConfig` defaults (explicit kwargs winning), and — the big
+one — a keyword-built cluster and a config-built cluster produce
+byte-identical runs.
 """
 
 import dataclasses
@@ -92,30 +93,6 @@ class TestValidation:
             cfg.cache.enabled = True
 
 
-# -- the flat bridge -------------------------------------------------------
-
-
-class TestFromFlat:
-    def test_defaults_match_a_bare_config(self):
-        assert ClusterConfig.from_flat() == ClusterConfig()
-
-    def test_flat_kwargs_carry_over(self):
-        system = SystemConfig.figure1()
-        cfg = ClusterConfig.from_flat(
-            n_fpgas=3, config=system, fabric_latency=250,
-            backend="sequential", swallow_orphan_errors=True)
-        assert cfg.n_fpgas == 3
-        assert cfg.system is system
-        assert cfg.fabric_latency == 250
-        assert cfg.backend == "sequential"
-        assert cfg.swallow_orphan_errors
-        # toggles stay off, exactly like a flat-built cluster pre-enable
-        assert not cfg.recovery.enabled
-        assert not cfg.cache.enabled
-        assert not cfg.obs.tracing
-        assert not cfg.replication.enabled
-
-
 # -- construction ----------------------------------------------------------
 
 
@@ -131,6 +108,23 @@ class TestClusterFromConfig:
     def test_flat_construction_has_no_cluster_config(self):
         cluster = Cluster(n_fpgas=2)
         assert cluster.cluster_config is None
+
+    def test_conflicting_keyword_is_refused(self):
+        with pytest.raises(ConfigError, match="n_fpgas=4"):
+            Cluster(n_fpgas=4, backend="sequential",
+                    config=ClusterConfig(n_fpgas=2))
+        with pytest.raises(ConfigError, match="backend='sequential'"):
+            Cluster(backend="sequential", config=ClusterConfig())
+        with pytest.raises(ConfigError, match="fabric_latency"):
+            Cluster(fabric_latency=250, config=ClusterConfig())
+        with pytest.raises(ConfigError, match="swallow_orphan_errors"):
+            Cluster(swallow_orphan_errors=True, config=ClusterConfig())
+        # a keyword that agrees with the config is fine
+        cluster = Cluster(n_fpgas=3, backend="sequential",
+                          config=ClusterConfig(n_fpgas=3,
+                                               backend="sequential"))
+        assert cluster.n_fpgas == 3
+        assert cluster.backend_name == "sequential"
 
     def test_cache_toggle_builds_the_plane(self):
         cluster = Cluster(config=ClusterConfig(
@@ -209,7 +203,7 @@ class TestSchedDefaultsFlow:
         assert not cluster.start_autoscaler("kv").prefetch
 
 
-# -- byte-identity: flat spelling vs config object -------------------------
+# -- byte-identity: keyword spelling vs config object ----------------------
 
 
 def _mini_run(cluster):
@@ -227,8 +221,8 @@ def _mini_run(cluster):
 
 class TestByteIdentity:
     def test_config_path_matches_flat_path(self):
-        flat = _mini_run(Cluster(n_fpgas=2))
-        cfg = _mini_run(Cluster(config=ClusterConfig.from_flat(n_fpgas=2)))
+        flat = _mini_run(Cluster(n_fpgas=2, config=SystemConfig.figure1()))
+        cfg = _mini_run(Cluster(config=ClusterConfig(n_fpgas=2)))
         assert json.dumps(flat, sort_keys=True) == \
             json.dumps(cfg, sort_keys=True)
 

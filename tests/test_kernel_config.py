@@ -1,17 +1,14 @@
-"""The SystemConfig API: validation, presets, flat-kwargs equivalence.
+"""The SystemConfig API: validation, presets, and the one constructor.
 
-The redesign's core promise: ``ApiarySystem(config=SystemConfig(...))``
-and the deprecated flat kwargs build **identical** systems — same
-structure, same runtime behaviour, byte-identical stats on the same
-seeded workload.
+``ApiarySystem(config=SystemConfig(...))`` is the only way to configure a
+board; the runtime objects (engine, fabric, spans, drc) ride beside it.
 """
 
 import dataclasses
-import json
+import inspect
 
 import pytest
 
-from repro.apps.service import PortedService
 from repro.errors import ConfigError
 from repro.kernel import (
     ApiarySystem,
@@ -23,7 +20,6 @@ from repro.kernel import (
 )
 from repro.net.frame import EthernetFabric
 from repro.sim import Engine
-from repro.workloads import RemoteClientHost
 
 
 class TestValidation:
@@ -86,66 +82,16 @@ class TestFigure1Preset:
         assert system.namespace.lookup("svc.net") == 1
 
 
-class TestFlatKwargsEquivalence:
-    FLAT = dict(width=3, height=2, mem_tile=0, net_tile=1,
-                mac_addr="fpga0", seed=3, num_vcs=2, buffer_depth=4)
-
-    def test_from_flat_round_trip(self):
-        cfg = SystemConfig.from_flat(**self.FLAT)
-        assert cfg.noc.width == 3 and cfg.noc.height == 2
-        assert cfg.seed == 3
-        assert cfg.net.mac_addr == "fpga0"
-
-    @staticmethod
-    def _smoke_run(system, engine, fabric):
-        """A seeded workload exercising NoC, mem, net, and the client path."""
-        system.boot()
-
-        def handler(body):
-            return 800, {"echo": body["x"]}, 64
-
-        started = system.start_app(
-            2, PortedService("echo", port=9100, handler=handler),
-            endpoint="app.echo")
-        engine.run_until_done(started, limit=50_000_000)
-        host = RemoteClientHost(engine, fabric, "host")
-        bodies = [{"x": i} for i in range(20)]
-        done = engine.process(
-            host.closed_loop("fpga0", 9100, bodies, timeout=200_000),
-            name="host.loop")
-        engine.run_until_done(done.done, limit=50_000_000)
-        return {
-            "now": engine.now,
-            "latency": host.latency.samples,
-            "stats": system.stats.snapshot(engine.now),
-        }
-
-    def _build_and_run(self, flat: bool):
-        engine = Engine()
-        fabric = EthernetFabric(engine, latency_cycles=500)
-        if flat:
-            system = ApiarySystem(engine=engine, fabric=fabric, **self.FLAT)
-        else:
-            system = ApiarySystem(engine=engine, fabric=fabric,
-                                  config=SystemConfig.from_flat(**self.FLAT))
-        return self._smoke_run(system, engine, fabric)
-
-    def test_flat_and_config_builds_are_byte_identical(self):
-        via_flat = json.dumps(self._build_and_run(flat=True), sort_keys=True)
-        via_config = json.dumps(self._build_and_run(flat=False),
-                                sort_keys=True)
-        assert via_flat == via_config
-
-    def test_flat_kwargs_still_fully_work(self):
-        system = ApiarySystem(width=3, height=2)
-        assert system.config.noc.tiles == 6
-        system.boot()
-        assert system.namespace.lookup("svc.mem") == 0
-
-
 class TestFaultConfig:
     def test_policy_flows_through(self):
         from repro.kernel.fault import FaultPolicy
         cfg = SystemConfig(fault=FaultConfig(policy=FaultPolicy.PREEMPT))
         system = ApiarySystem(config=cfg)
         assert system.fault_manager.policy == FaultPolicy.PREEMPT
+
+
+class TestConstructor:
+    def test_only_config_and_runtime_objects(self):
+        params = list(inspect.signature(ApiarySystem.__init__).parameters)
+        assert params == ["self", "config", "engine", "fabric", "spans",
+                          "drc"]

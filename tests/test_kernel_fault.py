@@ -1,6 +1,8 @@
 """Fault handling (Section 4.4): fail-stop drain, NACKs, preemption,
 teardown/restart, and DRC screening at load time."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.accel import (
@@ -13,14 +15,22 @@ from repro.accel import (
 from repro.errors import BitstreamRejected, ServiceError, TileFault
 from repro.hw import DesignRuleChecker, ResourceVector
 from repro.hw.bitstream import Bitstream
-from repro.kernel import ApiarySystem, FaultPolicy
+from repro.kernel import (
+    ApiarySystem,
+    FaultConfig,
+    FaultPolicy,
+    NocConfig,
+    SystemConfig,
+)
 from repro.policy import RetryPolicy
 
 
-def booted(**kwargs):
-    kwargs.setdefault("width", 3)
-    kwargs.setdefault("height", 2)
-    system = ApiarySystem(**kwargs)
+PREEMPT = replace(SystemConfig.figure1(),
+                  fault=FaultConfig(policy=FaultPolicy.PREEMPT))
+
+
+def booted(config=SystemConfig.figure1(), **runtime):
+    system = ApiarySystem(config=config, **runtime)
     system.boot()
     return system
 
@@ -145,7 +155,8 @@ class TestFailStop:
 
 class TestPreemption:
     def make_encoder_system(self, policy):
-        system = booted(policy=policy)
+        system = booted(replace(SystemConfig.figure1(),
+                                fault=FaultConfig(policy=policy)))
         encoder = PreemptibleVideoEncoder("enc")
         start(system, 2, encoder, endpoint="app.enc")
         return system, encoder
@@ -200,7 +211,7 @@ class TestPreemption:
         assert c0.ok < 10 and c1.ok < 10, "both streams lose service"
 
     def test_preempt_policy_on_nonpreemptible_accel_falls_back(self):
-        system = booted(policy=FaultPolicy.PREEMPT)
+        system = booted(PREEMPT)
         victim = CrashingAccel("victim", crash_after=2)  # not preemptible
         start(system, 2, victim, endpoint="app.victim")
         client = ScriptedClient("client", "app.victim", count=10)
@@ -313,7 +324,7 @@ class TestFaultIndex:
         system.run_until(started)
 
     def test_faults_on_indexes_per_tile(self):
-        system = booted(width=4, height=2)
+        system = booted(SystemConfig(noc=NocConfig(width=4, height=2)))
         self.crash(system, 2, "app.a")
         self.crash(system, 4, "app.b")
         system.run(until=system.engine.now + 2_000_000)
@@ -365,7 +376,7 @@ class TestPreemptRoundTrip:
                 yield 2_000
 
     def run_stream(self, inject):
-        system = booted(policy=FaultPolicy.PREEMPT)
+        system = booted(PREEMPT)
         encoder = PreemptibleVideoEncoder("enc")
         start(system, 2, encoder, endpoint="app.enc")
         client = self.RetryEncodeClient()

@@ -1,14 +1,18 @@
 """Accelerator migration tests (Section 4.4: swap out / repurpose tiles)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.accel import Accelerator, EchoAccel, PreemptibleVideoEncoder
 from repro.errors import ConfigError
-from repro.kernel import ApiarySystem, FaultPolicy
+from repro.kernel import ApiarySystem, FaultConfig, FaultPolicy, SystemConfig
 
 
 def booted():
-    system = ApiarySystem(width=3, height=2, policy=FaultPolicy.PREEMPT)
+    system = ApiarySystem(config=replace(
+        SystemConfig.figure1(),
+        fault=FaultConfig(policy=FaultPolicy.PREEMPT)))
     system.boot()
     return system
 

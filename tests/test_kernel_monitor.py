@@ -1,5 +1,7 @@
 """Tests for the Apiary message layer, monitor enforcement and shell API."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.accel import EchoAccel
@@ -13,9 +15,12 @@ from repro.errors import (
 )
 from repro.kernel import (
     ApiarySystem,
+    FaultConfig,
     MemAccess,
     Message,
     MessageKind,
+    NocConfig,
+    SystemConfig,
 )
 
 
@@ -58,10 +63,8 @@ class TestMessageFormat:
         assert a.mid != b.mid
 
 
-def small_system(**kwargs):
-    kwargs.setdefault("width", 3)
-    kwargs.setdefault("height", 2)
-    system = ApiarySystem(**kwargs)
+def small_system(config=SystemConfig.figure1()):
+    system = ApiarySystem(config=config)
     system.boot()
     return system
 
@@ -165,7 +168,8 @@ class TestMonitorEnforcement:
         assert seen["src"] == "tile3"
 
     def test_enforcement_off_allows_everything(self):
-        system = small_system(enforce=False)
+        system = small_system(replace(SystemConfig.figure1(),
+                                      fault=FaultConfig(enforce=False)))
         echo = EchoAccel("echo")
         run_app(system, 2, echo, endpoint="app.echo", cycles=1000)
 
@@ -195,8 +199,9 @@ class TestMonitorEnforcement:
         assert system.tracer.count("monitor.deny") == 1
 
     def test_rate_limited_monitor_throttles(self):
-        fast = small_system(rate_limit_flits=None)
-        slow = small_system(rate_limit_flits=0.05, rate_limit_burst=4)
+        fast = small_system()
+        slow = small_system(SystemConfig(noc=NocConfig(
+            width=3, height=2, rate_limit_flits=0.05, rate_limit_burst=4)))
         durations = {}
         for label, system in (("fast", fast), ("slow", slow)):
             echo = EchoAccel("echo", cost=1)

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.accel import Accelerator
-from repro.kernel import ApiarySystem, RemoteCpuServiceHost, RemoteServiceProxy
+from repro.kernel import (
+    ApiarySystem,
+    RemoteCpuServiceHost,
+    RemoteServiceProxy,
+    SystemConfig,
+)
 from repro.net import EthernetFabric
 from repro.sim import Engine
 
@@ -27,8 +32,8 @@ def build(engine=None):
     dictionary_handler.table = {}
     engine = engine or Engine()
     fabric = EthernetFabric(engine, latency_cycles=400)
-    system = ApiarySystem(width=3, height=2, engine=engine, fabric=fabric,
-                          mac_kind="100g", mac_addr="board0")
+    system = ApiarySystem(config=SystemConfig.figure1().with_mac("board0"),
+                          engine=engine, fabric=fabric)
     system.boot()
     host = RemoteCpuServiceHost(engine, fabric, "cpu-host0",
                                 dictionary_handler)

@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.accel import Accelerator
-from repro.kernel import ApiarySystem
+from repro.kernel import ApiarySystem, SystemConfig
 from repro.net.rpc import RpcCaller, RpcRequest, RpcResponder
 from repro.obs import (
     QUEUE_STAGE,
@@ -45,10 +45,8 @@ class MemWorker(Accelerator):
         self.finished_at = shell.engine.now
 
 
-def traced_system(**kwargs):
-    kwargs.setdefault("width", 3)
-    kwargs.setdefault("height", 2)
-    system = ApiarySystem(**kwargs)
+def traced_system():
+    system = ApiarySystem(config=SystemConfig.figure1())
     system.enable_tracing()
     system.boot()
     return system
@@ -185,7 +183,8 @@ class TestEndToEndTracing:
                 "dram.access"} <= names
 
     def test_disabled_tracing_is_zero_cost(self):
-        system = ApiarySystem(width=3, height=2)  # no enable_tracing()
+        # no enable_tracing()
+        system = ApiarySystem(config=SystemConfig.figure1())
         system.boot()
         app = MemWorker()
         started = system.start_app(4, app, endpoint="app.mem")
@@ -197,7 +196,7 @@ class TestEndToEndTracing:
 
     def test_tracing_does_not_perturb_simulated_time(self):
         def finish_cycle(trace):
-            system = ApiarySystem(width=3, height=2)
+            system = ApiarySystem(config=SystemConfig.figure1())
             if trace:
                 system.enable_tracing()
             system.boot()
@@ -248,7 +247,7 @@ class TestExport:
 
 class TestTelemetrySampler:
     def test_series_accumulate_at_interval(self):
-        system = ApiarySystem(width=3, height=2)
+        system = ApiarySystem(config=SystemConfig.figure1())
         system.enable_telemetry(interval=500)
         system.boot()
         series = system.sampler.series("inject_backlog", node=0)
@@ -264,7 +263,7 @@ class TestTelemetrySampler:
         assert len(sampler.series("sampled_at")) == 8
 
     def test_heatmap_matches_topology(self):
-        system = ApiarySystem(width=3, height=2)
+        system = ApiarySystem(config=SystemConfig.figure1())
         system.enable_telemetry(interval=500)
         system.boot()
         grid = system.sampler.noc_heatmap()
@@ -273,7 +272,7 @@ class TestTelemetrySampler:
             v is not None for row in grid for v in row)
 
     def test_telemetry_cannot_be_enabled_twice(self):
-        system = ApiarySystem(width=3, height=2)
+        system = ApiarySystem(config=SystemConfig.figure1())
         system.enable_telemetry()
         with pytest.raises(Exception):
             system.enable_telemetry()

@@ -16,7 +16,7 @@ import math
 
 import pytest
 
-from repro.kernel import ApiarySystem
+from repro.kernel import ApiarySystem, SystemConfig
 from repro.obs import (
     QUEUE_STAGE,
     CycleProfiler,
@@ -343,19 +343,10 @@ class TestFlightRecorder:
         with pytest.raises(ValueError):
             validate_flight_dump(dict(doc, seen=0))
 
-    def test_absorb_adopts_collected_state(self):
-        worker = FlightRecorder("fpga0", capacity=4)
-        worker.record_event(1, "fault", "tile1", "drained:TileFault")
-        worker.dump(2, "fault:tile1:drained")
-        local = FlightRecorder("fpga0", capacity=4)
-        local.absorb(worker)
-        assert json.dumps(local.report(), sort_keys=True) == \
-            json.dumps(worker.report(), sort_keys=True)
-
 
 class TestSatelliteAccessors:
     def booted(self):
-        system = ApiarySystem(width=3, height=2)
+        system = ApiarySystem(config=SystemConfig.figure1())
         system.boot()
         return system
 
@@ -371,7 +362,7 @@ class TestSatelliteAccessors:
         assert monitor.heartbeat()["egress_backlog"] == 0.0
 
     def test_sampler_last_sample_at_advances(self):
-        system = ApiarySystem(width=3, height=2)
+        system = ApiarySystem(config=SystemConfig.figure1())
         system.enable_telemetry(interval=500)
         system.boot()
         assert system.sampler.last_sample_at is not None

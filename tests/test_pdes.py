@@ -17,10 +17,9 @@ import pytest
 
 from repro.cluster.backend import SPAN_ID_STRIDE
 from repro.cluster.cluster import Cluster
-from repro.cluster.smoke import availability_smoke, scaling_smoke, span_dump
+from repro.cluster.smoke import availability_smoke, echo_smoke, span_dump
 from repro.errors import ConfigError
 from repro.net.envelope import FrameEnvelope, PartitionFabric
-from repro.obs.smoke import obs_plane_smoke
 from repro.net.frame import EthernetFrame
 from repro.sim import Engine
 
@@ -28,11 +27,12 @@ from repro.sim import Engine
 # small enough to keep the suite fast, big enough to cross hundreds of
 # window barriers and exercise retries, batching, and health probing
 S1_ARGS = dict(n_fpgas=2, duration=100_000, clients=8,
-               requests_per_client=60, trace=True, identity=True)
+               requests_per_client=60, identity=True)
 CHAOS_ARGS = dict(n_fpgas=2, kill_after=80_000, post_kill=150_000,
-                  trace=True, identity=True)
+                  identity=True)
 OBS_ARGS = dict(duration=200_000, clients=4, requests_per_client=40,
-                kill_after=80_000)
+                work_cycles=3_000, instances_per_fpga=1, max_pending=64,
+                observability=True, kill_index=1, kill_after=80_000)
 
 
 def _split(stats):
@@ -184,10 +184,10 @@ class TestDeterminism:
     """The headline contract: two sequential runs, byte for byte."""
 
     def test_sequential_rerun_is_deterministic(self):
-        first_stats, first_id = _split(scaling_smoke(backend="sequential",
-                                                     **S1_ARGS))
-        second_stats, second_id = _split(scaling_smoke(backend="sequential",
-                                                       **S1_ARGS))
+        first_stats, first_id = _split(echo_smoke(backend="sequential",
+                                                  **S1_ARGS))
+        second_stats, second_id = _split(echo_smoke(backend="sequential",
+                                                    **S1_ARGS))
         assert first_stats == second_stats
         assert first_id["spans"] == second_id["spans"]
         assert len(first_id["spans"]) > 0
@@ -200,10 +200,10 @@ class TestDeterminism:
         """Span ids and same-cycle span order differ between the shared
         engine and the windowed backend, but on S1 serving the result and
         every board's stats snapshot agree byte for byte."""
-        shared_stats, shared_id = _split(scaling_smoke(backend="shared",
-                                                       **S1_ARGS))
-        seq_stats, seq_id = _split(scaling_smoke(backend="sequential",
-                                                 **S1_ARGS))
+        shared_stats, shared_id = _split(echo_smoke(backend="shared",
+                                                    **S1_ARGS))
+        seq_stats, seq_id = _split(echo_smoke(backend="sequential",
+                                              **S1_ARGS))
         assert shared_stats == seq_stats
         assert len(seq_id["spans"]) == len(shared_id["spans"]) > 0
         assert json.dumps(shared_id["stats"], sort_keys=True) == \
@@ -228,8 +228,8 @@ class TestDeterminism:
 
     def test_flight_dumps_identical_on_rerun(self):
         def run():
-            return obs_plane_smoke(backend="sequential", identity=True,
-                                   **OBS_ARGS)
+            return echo_smoke(backend="sequential", identity=True,
+                              **OBS_ARGS)
 
         first, second = run(), run()
         assert json.dumps(first, sort_keys=True) == \
@@ -243,9 +243,9 @@ class TestDeterminism:
         """Not byte-identity (window quantization reorders same-cycle
         ties), but the serving outcome must agree with the shared oracle
         on this workload."""
-        shared = scaling_smoke(n_fpgas=2, duration=100_000, clients=8,
-                               requests_per_client=60, backend="shared")
-        seq = scaling_smoke(n_fpgas=2, duration=100_000, clients=8,
-                            requests_per_client=60, backend="sequential")
+        shared = echo_smoke(n_fpgas=2, duration=100_000, clients=8,
+                            requests_per_client=60, backend="shared")
+        seq = echo_smoke(n_fpgas=2, duration=100_000, clients=8,
+                         requests_per_client=60, backend="sequential")
         assert shared["completed"] == seq["completed"]
         assert shared["throughput_per_kcycle"] == seq["throughput_per_kcycle"]

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.errors import ConfigError
-from repro.kernel import SystemConfig
+from repro.kernel import NocConfig, SystemConfig
 from repro.replic import (
     HistoryChecker,
     KvMachine,
@@ -151,7 +151,7 @@ class TestHistoryChecker:
 # -- end-to-end: chained serving -------------------------------------------
 
 def chain_cluster(n_fpgas=3, n_shards=2, replication=2, seed=1):
-    config = SystemConfig.from_flat(width=3, height=3, seed=seed)
+    config = SystemConfig(seed=seed, noc=NocConfig(width=3, height=3))
     engine = Engine(swallow_orphan_errors=True)
     cluster = Cluster(n_fpgas=n_fpgas, config=config, engine=engine)
     cluster.boot()

@@ -8,6 +8,7 @@ decision log, and the reconfiguration-cost-aware autoscaler.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -22,7 +23,7 @@ from repro.errors import (
 )
 from repro.hw.bitstream import Bitstream
 from repro.hw.resources import ResourceVector
-from repro.kernel import ApiarySystem, FaultPolicy
+from repro.kernel import ApiarySystem, FaultConfig, FaultPolicy, SystemConfig
 from repro.sched import (
     AdmissionController,
     JobSpec,
@@ -33,8 +34,13 @@ from repro.sched import (
 )
 
 
-def booted(policy=FaultPolicy.PREEMPT, **kwargs):
-    system = ApiarySystem(width=3, height=2, policy=policy, **kwargs)
+# SystemConfig.figure1() alone is the fail-stop board
+PREEMPT = replace(SystemConfig.figure1(),
+                  fault=FaultConfig(policy=FaultPolicy.PREEMPT))
+
+
+def booted(config=PREEMPT, **runtime):
+    system = ApiarySystem(config=config, **runtime)
     system.boot()
     return system
 
@@ -346,7 +352,7 @@ def inject_fault(system, node, context="main"):
 
 class TestFaultRescheduling:
     def test_fault_requeues_and_replaces(self):
-        system = booted(policy=FaultPolicy.FAIL_STOP)
+        system = booted(SystemConfig.figure1())
         sched = system.enable_scheduler()
         job = sched.submit(spec("worker"))
         system.run(until=system.engine.now + 200_000)
@@ -364,7 +370,7 @@ class TestFaultRescheduling:
         assert system.stats.counter("sched.fault_requeues").value == 1
 
     def test_job_abandoned_after_max_faults(self):
-        system = booted(policy=FaultPolicy.FAIL_STOP)
+        system = booted(SystemConfig.figure1())
         sched = system.enable_scheduler(max_faults=0)
         job = sched.submit(spec("fragile"))
         system.run(until=system.engine.now + 200_000)
@@ -378,7 +384,7 @@ class TestFaultRescheduling:
 
 
 def _scripted_run():
-    system = booted(policy=FaultPolicy.FAIL_STOP)
+    system = booted(SystemConfig.figure1())
     sched = system.enable_scheduler()
     for i in range(5):
         sched.submit(spec(f"j{i}", priority=i % 2))
@@ -459,7 +465,7 @@ class TestRegionGauges:
 
 def small_cluster():
     from repro.cluster.smoke import _build
-    cluster = _build(2, 0, swallow_orphan_errors=True)
+    cluster = _build(2, 0)
     started = cluster.deploy_stateless(
         "kv", lambda: (lambda body: (1_000, {"ok": True}, 32)), instances=1)
     cluster.engine.run_until_done(cluster.engine.all_of(started),

@@ -18,7 +18,13 @@ from repro.accel import (
     SinkAccel,
 )
 from repro.apps import deploy_chain, deploy_kv_on_apiary, deploy_pipeline
-from repro.kernel import ApiarySystem, FaultPolicy
+from repro.kernel import (
+    ApiarySystem,
+    FaultConfig,
+    FaultPolicy,
+    NetConfig,
+    SystemConfig,
+)
 from repro.net import EthernetFabric
 from repro.sim import Engine
 from repro.workloads import RemoteClientHost
@@ -70,9 +76,10 @@ class PipelineDriver(Accelerator):
 def stressed_system():
     engine = Engine()
     fabric = EthernetFabric(engine, latency_cycles=300)
-    system = ApiarySystem(width=4, height=4, engine=engine, fabric=fabric,
-                          mac_kind="100g", mac_addr="board0",
-                          policy=FaultPolicy.FAIL_STOP)
+    system = ApiarySystem(
+        config=SystemConfig(net=NetConfig(mac_addr="board0"),
+                            fault=FaultConfig(policy=FaultPolicy.FAIL_STOP)),
+        engine=engine, fabric=fabric)
     system.boot()
 
     # tenant A: video pipeline on tiles 4, 5
