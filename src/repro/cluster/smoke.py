@@ -86,14 +86,15 @@ def _kv_handler_factory(work_cycles: int):
     return make
 
 
-def _build(n_fpgas: int, seed: int, backend: str = "shared",
-           cache: bool = False) -> Cluster:
-    # the runs kill boards, so they swallow orphan errors and observe
-    # faults through the Apiary fault path (the Engine's documented
-    # contract)
+def _build(n_fpgas: int, seed: int, swallow_orphan_errors: bool = False,
+           backend: str = "shared", cache: bool = False) -> Cluster:
+    # fault-injection runs swallow orphan errors and observe faults
+    # through the Apiary fault path (the Engine's documented contract);
+    # runs without a kill keep them fatal, so a model bug cannot hide
     cluster = Cluster(n_fpgas=n_fpgas,
                       config=replace(SystemConfig.figure1(), seed=seed),
-                      backend=backend, swallow_orphan_errors=True)
+                      backend=backend,
+                      swallow_orphan_errors=swallow_orphan_errors)
     if cache:
         # before boot(), so even the OS-service loads route through the
         # per-board compile pipeline (a realistic cold boot)
@@ -147,7 +148,9 @@ def echo_smoke(
     snapshots (sketch summaries included) and, with the plane on, the
     SLO report and per-board flight reports with their dump documents.
     """
-    cluster = _build(n_fpgas, seed, backend=backend)
+    cluster = _build(n_fpgas, seed,
+                     swallow_orphan_errors=kill_index is not None,
+                     backend=backend)
     if observability or identity:
         cluster.enable_tracing()
     if observability:
@@ -279,7 +282,8 @@ def availability_smoke(
     compile-and-cache pipeline, putting its counters/state into the same
     identity payload — the cache arm of that contract.
     """
-    cluster = _build(n_fpgas, seed, backend=backend, cache=cache)
+    cluster = _build(n_fpgas, seed, swallow_orphan_errors=True,
+                     backend=backend, cache=cache)
     if identity:
         cluster.enable_tracing()
     started = cluster.deploy_sharded("kv", _kv_handler_factory(work_cycles),

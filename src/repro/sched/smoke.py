@@ -135,7 +135,7 @@ def autoscale_smoke(
     # scale-down tears live tiles down mid-traffic; a straggler reply
     # interrupted inside the dying tile is an orphan by design (same
     # engine contract the fault-injection runs use)
-    cluster = _build(n_fpgas, seed)
+    cluster = _build(n_fpgas, seed, swallow_orphan_errors=True)
     started = cluster.deploy_stateless(
         "kv", _shared_kv_factory(work_cycles), instances=min_replicas)
     cluster.engine.run_until_done(cluster.engine.all_of(started),
@@ -370,7 +370,7 @@ def autoscale_chaos_smoke(
     replica serving afterwards, and requests issued after the
     replacement settles completing at (near-)unity success rate.
     """
-    cluster = _build(n_fpgas, seed)
+    cluster = _build(n_fpgas, seed, swallow_orphan_errors=True)
     started = cluster.deploy_stateless(
         "kv", _shared_kv_factory(work_cycles), instances=min_replicas)
     cluster.engine.run_until_done(cluster.engine.all_of(started),

@@ -465,7 +465,7 @@ class TestRegionGauges:
 
 def small_cluster():
     from repro.cluster.smoke import _build
-    cluster = _build(2, 0)
+    cluster = _build(2, 0, swallow_orphan_errors=True)
     started = cluster.deploy_stateless(
         "kv", lambda: (lambda body: (1_000, {"ok": True}, 32)), instances=1)
     cluster.engine.run_until_done(cluster.engine.all_of(started),
