@@ -14,14 +14,6 @@ from repro.cluster.bitcache import (
     BoardBitstreamStore,
 )
 from repro.cluster.cluster import Cluster
-from repro.cluster.config import (
-    CacheConfig,
-    ClusterConfig,
-    ObsConfig,
-    RecoveryConfig,
-    ReplicationConfig,
-    SchedConfig,
-)
 from repro.cluster.directory import (
     HashRing,
     ServiceDirectory,
@@ -34,12 +26,6 @@ from repro.cluster.smoke import availability_smoke, echo_smoke
 
 __all__ = [
     "Cluster",
-    "ClusterConfig",
-    "RecoveryConfig",
-    "ObsConfig",
-    "SchedConfig",
-    "ReplicationConfig",
-    "CacheConfig",
     "BitstreamPlane",
     "BoardBitstreamStore",
     "DEFAULT_CACHE_CELLS",

@@ -12,14 +12,15 @@ built on conservative-lookahead parallel discrete-event simulation
 * :class:`SequentialBackend` (``backend="sequential"``) — each board and
   the host side (front-end + clients) is a *partition* with a private
   engine, fabric view, and span recorder.  Partitions advance in lockstep
-  windows of ``fabric_latency`` cycles, executed one after another in
-  this process, and exchange cross-partition frames only at the window
+  windows as long as the fabric latency (the host fabric's
+  ``latency_cycles``, 500 cycles), executed one after another in this
+  process, and exchange cross-partition frames only at the window
   barriers.
 
 Soundness of the window (the classic null-message-free lookahead
 argument): the Ethernet fabric is the only cross-partition channel and
-delivers no earlier than ``fabric_latency`` cycles after send.  With
-window length ``w <= fabric_latency``, a frame sent at any cycle ``c``
+delivers no earlier than ``latency_cycles`` after send.  With window
+length ``w`` equal to that latency, a frame sent at any cycle ``c``
 inside the window ``[t, t+w)`` arrives at ``c + latency >= t + w`` — at
 or after the next barrier — so no partition can receive anything from the
 current window while running it, and the partitions' windows are
@@ -109,8 +110,7 @@ class ClusterBackend:
 
     # -- construction ------------------------------------------------------
 
-    def build(self, cluster, n_fpgas: int, engine: Optional[Engine],
-              fabric: Optional[EthernetFabric], fabric_latency: int,
+    def build(self, cluster, n_fpgas: int,
               swallow_orphan_errors: bool) -> None:
         """Create engines/fabrics/systems and attach them to ``cluster``."""
         raise NotImplementedError
@@ -211,13 +211,10 @@ class SharedEngineBackend(ClusterBackend):
     name = "shared"
     supports_dynamic_placement = True
 
-    def build(self, cluster, n_fpgas, engine, fabric, fabric_latency,
-              swallow_orphan_errors):
+    def build(self, cluster, n_fpgas, swallow_orphan_errors):
         self.cluster = cluster
-        cluster.engine = engine if engine is not None else Engine(
-            swallow_orphan_errors=swallow_orphan_errors)
-        cluster.fabric = fabric if fabric is not None else EthernetFabric(
-            cluster.engine, latency_cycles=fabric_latency)
+        cluster.engine = Engine(swallow_orphan_errors=swallow_orphan_errors)
+        cluster.fabric = EthernetFabric(cluster.engine)
         cluster.spans = SpanRecorder()
         cluster.systems = [
             ApiarySystem(engine=cluster.engine, fabric=cluster.fabric,
@@ -279,16 +276,8 @@ class SequentialBackend(ClusterBackend):
 
     # -- construction ------------------------------------------------------
 
-    def build(self, cluster, n_fpgas, engine, fabric, fabric_latency,
-              swallow_orphan_errors):
-        if engine is not None or fabric is not None:
-            raise ConfigError(
-                f"the {self.name!r} backend builds one engine and fabric "
-                "view per partition; passing engine=/fabric= is a shared-"
-                "backend idiom"
-            )
+    def build(self, cluster, n_fpgas, swallow_orphan_errors):
         self.cluster = cluster
-        self.window = fabric_latency
         # a windowed cluster is a self-contained simulation: restart the
         # process-global mid stream so a run's ids depend only on its own
         # behaviour, not on whatever ran earlier in this process — the
@@ -299,16 +288,16 @@ class SequentialBackend(ClusterBackend):
                              for i, cfg in enumerate(configs)}
         cluster.engine = Engine(swallow_orphan_errors=swallow_orphan_errors)
         cluster.fabric = PartitionFabric(
-            cluster.engine, partition_id=0, partition_of=self.partition_of,
-            latency_cycles=fabric_latency)
+            cluster.engine, partition_id=0, partition_of=self.partition_of)
+        # the window is the fabric's lookahead (see the module docstring)
+        self.window = cluster.fabric.latency_cycles
         cluster.spans = SpanRecorder(id_base=0)
         cluster.systems = []
         for i, cfg in enumerate(configs):
             board_engine = Engine(swallow_orphan_errors=swallow_orphan_errors)
             board_fabric = PartitionFabric(
                 board_engine, partition_id=i + 1,
-                partition_of=self.partition_of,
-                latency_cycles=fabric_latency)
+                partition_of=self.partition_of)
             spans = SpanRecorder(id_base=(i + 1) * SPAN_ID_STRIDE)
             system = ApiarySystem(engine=board_engine, fabric=board_fabric,
                                   config=cfg, spans=spans)

@@ -7,8 +7,14 @@ load-balancing front-end.  Construction::
 
     cluster = Cluster(n_fpgas=2, config=SystemConfig.figure1())
     cluster.boot()
-    cluster.directory.deploy_sharded("kv", make_kv_handler, n_shards=4)
+    cluster.deploy_sharded("kv", make_kv_handler, n_shards=4)
     fe = cluster.start_frontend()
+
+The constructor takes the board count, the base board config, the
+backend and the engine's orphan-error policy; every other subsystem
+(recovery, bitstream cache, tracing, flight recorders, SLOs,
+replication, autoscaling) is switched on afterwards by its
+``enable_*`` / ``start_*`` call.
 
 Each FPGA derives its per-board config from the base via
 ``dataclasses.replace`` (unique MAC, shifted seed).  *How* the boards
@@ -34,10 +40,9 @@ current window barrier.
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Optional
 
 from repro.cluster.backend import BACKENDS, ClusterBackend
-from repro.cluster.config import ClusterConfig
 from repro.cluster.directory import ServiceDirectory
 from repro.cluster.frontend import FrontEnd
 from repro.errors import ConfigError
@@ -56,35 +61,11 @@ class Cluster:
 
     def __init__(
         self,
-        n_fpgas: Optional[int] = None,
-        config: Optional[Union[SystemConfig, ClusterConfig]] = None,
-        engine: Optional[Engine] = None,
-        fabric: Optional[EthernetFabric] = None,
-        fabric_latency: Optional[int] = None,
-        backend: Optional[str] = None,
-        swallow_orphan_errors: Optional[bool] = None,
+        n_fpgas: int = 2,
+        config: Optional[SystemConfig] = None,
+        backend: str = "shared",
+        swallow_orphan_errors: bool = False,
     ):
-        # a ClusterConfig carries everything the keywords + post-build
-        # enable_* calls do; a keyword given next to it must agree
-        given = {"n_fpgas": n_fpgas, "fabric_latency": fabric_latency,
-                 "backend": backend,
-                 "swallow_orphan_errors": swallow_orphan_errors}
-        if isinstance(config, ClusterConfig):
-            for name, value in given.items():
-                if value is not None and value != getattr(config, name):
-                    raise ConfigError(
-                        f"Cluster({name}={value!r}) disagrees with the "
-                        f"ClusterConfig's {name}={getattr(config, name)!r}")
-            self.cluster_config: Optional[ClusterConfig] = config
-            base = config.system
-        else:
-            self.cluster_config = None
-            base = config if config is not None else SystemConfig.figure1()
-        # an omitted keyword reads the config (or the dataclass default)
-        defaults = self.cluster_config or ClusterConfig
-        n_fpgas, fabric_latency, backend, swallow_orphan_errors = (
-            getattr(defaults, name) if value is None else value
-            for name, value in given.items())
         if n_fpgas < 1:
             raise ConfigError(f"need >= 1 FPGA, got {n_fpgas}")
         if backend not in BACKENDS:
@@ -92,7 +73,8 @@ class Cluster:
                 f"unknown backend {backend!r}; pick one of "
                 f"{sorted(BACKENDS)}"
             )
-        self.base_config = base
+        self.base_config = (config if config is not None
+                            else SystemConfig.figure1())
         self.backend_name = backend
         self._backend: ClusterBackend = BACKENDS[backend]()
         # build() populates engine/fabric/spans/systems on self
@@ -100,49 +82,18 @@ class Cluster:
         self.fabric: EthernetFabric
         self.spans: SpanRecorder
         self.systems: List[ApiarySystem]
-        self._backend.build(self, n_fpgas, engine, fabric, fabric_latency,
-                            swallow_orphan_errors)
+        self._backend.build(self, n_fpgas, swallow_orphan_errors)
         self.directory = ServiceDirectory(self)
         self.frontend: Optional[FrontEnd] = None
         self.replication = None
         self.slo = None
-        #: BitstreamPlane once enable_bitstream_cache() ran (or the
-        #: config asked for it); None = legacy direct-load clusters
+        #: BitstreamPlane once enable_bitstream_cache() ran; None =
+        #: legacy direct-load clusters
         self.bitplane = None
         self.warm_placement = True
         self._cache_prefetch = True
         self.killed: List[int] = []
         self.partitioned: List[int] = []
-        if self.cluster_config is not None:
-            self._apply_config(self.cluster_config)
-
-    def _apply_config(self, cfg: ClusterConfig) -> None:
-        """Run the enable_* toggles the config asks for (build-time).
-
-        Order matters only in that the cache comes first (so every
-        subsequent deploy routes through it); ``boot()`` stays the
-        caller's move, as in the keyword spelling.
-        """
-        if cfg.cache.enabled:
-            self.enable_bitstream_cache(
-                capacity_cells=cfg.cache.capacity_cells,
-                cycles_per_cell=cfg.cache.synth_cycles_per_cell,
-                prefetch=cfg.cache.prefetch,
-                warm_placement=cfg.cache.warm_placement,
-            )
-        if cfg.recovery.enabled:
-            self.enable_recovery(**cfg.recovery.kwargs())
-        if cfg.obs.tracing:
-            self.enable_tracing()
-        if cfg.obs.flight_recorders:
-            self.enable_flight_recorders(
-                capacity=cfg.obs.flight_capacity,
-                dump_dir=cfg.obs.flight_dump_dir)
-        if cfg.obs.slo_enabled:
-            self.enable_slo(targets=cfg.obs.slo_targets,
-                            bucket_cycles=cfg.obs.slo_bucket_cycles)
-        if cfg.replication.enabled:
-            self.start_replication(**cfg.replication.kwargs())
 
     @property
     def n_fpgas(self) -> int:
@@ -233,14 +184,6 @@ class Cluster:
         self._require_dynamic_placement("the autoscaler")
         if self.frontend is None:
             raise ConfigError("start the front-end before the autoscaler")
-        if self.cluster_config is not None:
-            # config-object defaults; explicit kwargs win
-            sched = self.cluster_config.sched
-            kwargs = {**sched.autoscaler_kwargs(), **kwargs}
-            if sched.prefetch is not None:
-                kwargs.setdefault("prefetch", sched.prefetch)
-            if self.slo is not None:
-                kwargs.setdefault("slo", self.slo)
         # cache-aware default: scale-up prefetch follows the cache toggle
         kwargs.setdefault(
             "prefetch", self.bitplane is not None and self._cache_prefetch)

@@ -171,8 +171,8 @@ class MgmtPlane:
         a raw accelerator (its bitstream is packaged on the fly) or a
         pre-compiled :class:`~repro.hw.compile.BitstreamArtifact` passed
         via ``artifact``.  An artifact carries its own provenance and DRC
-        screen, so ``signed_by`` is ignored for the region load when one
-        is given — passing both is the deprecated duplicate-keyword path.
+        screen, so ``signed_by`` applies to raw accelerators only: passing
+        both raises :class:`~repro.errors.ConfigError`.
 
         With a bitstream store attached (:meth:`attach_bitstore`) and no
         artifact, the load first acquires the artifact from the board's
@@ -181,6 +181,10 @@ class MgmtPlane:
         compile is in flight.  Without a store, the legacy direct path is
         taken unchanged.
         """
+        if artifact is not None and signed_by is not None:
+            raise ConfigError(
+                "signed_by= applies to raw accelerators; an artifact "
+                "carries its own provenance")
         tile = self.tiles[node]
         _tid, span = self._open_span(
             f"mgmt.load:{endpoint or tile.endpoint}", trace,

@@ -99,6 +99,9 @@ class RecoveryManager:
             raise ConfigError(
                 f"heartbeat interval must be >= 1, got {heartbeat_interval}"
             )
+        if max_restarts < 0:
+            raise ConfigError(
+                f"max_restarts must be >= 0, got {max_restarts}")
         self.engine = engine
         self.mgmt = mgmt
         self.fault_manager = fault_manager

@@ -33,6 +33,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.errors import ConfigError
 from repro.net.transport import ReliableEndpoint
 from repro.sim import Event
 
@@ -78,6 +79,10 @@ class ReplicationManager:
         window: int = 16,
         transport_timeout: int = 50_000,
     ):
+        for name, value in (("probe_interval", probe_interval),
+                            ("miss_limit", miss_limit), ("window", window)):
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
         self.cluster = cluster
         self.engine = cluster.engine
         self.fabric = cluster.fabric

@@ -41,7 +41,6 @@ from repro.kernel.config import NocConfig, SystemConfig
 from repro.policy import RetryPolicy
 from repro.replic.history import HistoryChecker
 from repro.replic.machine import KvMachine
-from repro.sim import Engine
 from repro.workloads.client import ClusterClient
 
 __all__ = ["consistency_smoke"]
@@ -51,8 +50,8 @@ def _build(n_fpgas: int, seed: int) -> Cluster:
     # a 3x3 grid (7 app tiles after mem+net) leaves headroom for repair
     # splices to place replacement replicas even mid-chaos
     config = SystemConfig(seed=seed, noc=NocConfig(width=3, height=3))
-    engine = Engine(swallow_orphan_errors=True)
-    cluster = Cluster(n_fpgas=n_fpgas, config=config, engine=engine)
+    cluster = Cluster(n_fpgas=n_fpgas, config=config,
+                      swallow_orphan_errors=True)
     cluster.boot()
     return cluster
 

@@ -245,32 +245,21 @@ def cache_step_smoke(
       never seen the design and pays a full synthesis run first
       (~4.9M cycles).
 
-    Built through :class:`~repro.cluster.config.ClusterConfig` (the
-    config-object path), so C1 also exercises the redesigned cluster
-    API end to end.  Deterministic: identical arguments give an
-    identical result dict (the benchmark byte-compares it).
+    The cache toggle sets both arms' placement and prefetch defaults;
+    the autoscaler's controller parameters are passed explicitly.
+    Deterministic: identical arguments give an identical result dict
+    (the benchmark byte-compares it).
     """
     from dataclasses import replace
 
     from repro.cluster.cluster import Cluster
-    from repro.cluster.config import CacheConfig, ClusterConfig, SchedConfig
     from repro.kernel.config import SystemConfig
 
     system = SystemConfig.figure1()
     if seed:
         system = replace(system, seed=seed)
-    cluster = Cluster(config=ClusterConfig(
-        n_fpgas=n_fpgas,
-        system=system,
-        swallow_orphan_errors=True,
-        cache=CacheConfig(enabled=True, prefetch=warm,
-                          warm_placement=warm),
-        sched=SchedConfig(
-            min_replicas=min_replicas, max_replicas=max_replicas,
-            interval=interval, high_queue=high_queue,
-            low_queue=low_queue, target_queue=target_queue,
-            drain_window=10_000),
-    ))
+    cluster = Cluster(n_fpgas, config=system, swallow_orphan_errors=True)
+    cluster.enable_bitstream_cache(prefetch=warm, warm_placement=warm)
     cluster.boot()
     started = cluster.deploy_stateless(
         "kv", _shared_kv_factory(work_cycles), instances=min_replicas)
@@ -290,7 +279,10 @@ def cache_step_smoke(
                           attempt_timeout=request_timeout,
                           backoff_base=200, backoff_cap=2_000)
     cluster.start_frontend(max_pending=max_pending, retry=patient)
-    scaler = cluster.start_autoscaler("kv")
+    scaler = cluster.start_autoscaler(
+        "kv", min_replicas=min_replicas, max_replicas=max_replicas,
+        interval=interval, high_queue=high_queue, low_queue=low_queue,
+        target_queue=target_queue, drain_window=10_000)
     cluster.run(until=cluster.engine.now + 5_000)
 
     results: List[Tuple] = []

@@ -326,6 +326,17 @@ class TestMgmtArtifactPath:
         assert took == reconfig_duration(EchoAccel.COST)
         assert system.bitstore.hits == hits_before  # handle, not lookup
 
+    def test_signed_by_with_an_artifact_is_refused(self):
+        # the artifact's provenance decides; a second signer is ambiguous
+        system = self.system()
+        system.engine.run_until_done(system.mgmt.load(1, EchoAccel("e1")))
+        art = system.bitstore.acquire(EchoAccel.family_bitstream()).value
+        with pytest.raises(ConfigError, match="signed_by"):
+            system.mgmt.load(2, EchoAccel("e2"), signed_by="vendor",
+                             artifact=art)
+        assert not system.tiles[2].occupied
+        assert not system.tiles[2].reserved
+
     def test_legacy_path_without_store_is_unchanged(self):
         system = self.system(cache=False)
         assert system.bitstore is None

@@ -155,10 +155,6 @@ class TestWindowedCluster:
         with pytest.raises(ConfigError, match="shared"):
             cluster.start_autoscaler("svc")
 
-    def test_windowed_backend_rejects_external_engine(self):
-        with pytest.raises(ConfigError, match="per partition"):
-            Cluster(n_fpgas=1, backend="sequential", engine=Engine())
-
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigError, match="unknown backend"):
             Cluster(n_fpgas=1, backend="warp-drive")

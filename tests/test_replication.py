@@ -13,7 +13,6 @@ from repro.replic import (
     WriteAheadLog,
     consistency_smoke,
 )
-from repro.sim import Engine
 from repro.workloads import ClusterClient
 
 
@@ -152,8 +151,9 @@ class TestHistoryChecker:
 
 def chain_cluster(n_fpgas=3, n_shards=2, replication=2, seed=1):
     config = SystemConfig(seed=seed, noc=NocConfig(width=3, height=3))
-    engine = Engine(swallow_orphan_errors=True)
-    cluster = Cluster(n_fpgas=n_fpgas, config=config, engine=engine)
+    cluster = Cluster(n_fpgas=n_fpgas, config=config,
+                      swallow_orphan_errors=True)
+    engine = cluster.engine
     cluster.boot()
     cluster.enable_recovery()
     cluster.start_replication()
@@ -231,7 +231,7 @@ class TestChainServing:
 
     def test_chain_requires_replication_manager(self):
         cluster = Cluster(n_fpgas=2, config=SystemConfig.figure1(),
-                          engine=Engine(swallow_orphan_errors=True))
+                          swallow_orphan_errors=True)
         cluster.boot()
         with pytest.raises(ConfigError):
             cluster.deploy_chain("kv", lambda s: KvMachine(s), n_shards=1)
@@ -348,8 +348,9 @@ class TestFrontendDivergenceCounter:
         from repro.policy import RetryPolicy
 
         config = SystemConfig.figure1()
-        engine = Engine(swallow_orphan_errors=True)
-        cluster = Cluster(n_fpgas=2, config=config, engine=engine)
+        cluster = Cluster(n_fpgas=2, config=config,
+                          swallow_orphan_errors=True)
+        engine = cluster.engine
         cluster.boot()
 
         def kv_factory(shard):
